@@ -107,9 +107,6 @@ class SupportSet:
         return "{" + ",".join(str(a) for a in sorted(self.atoms)) + "}"
 
 
-EMPTY_SUPPORT = SupportSet(frozenset())
-
-
 @dataclass(frozen=True)
 class NormSpec:
     """Weighted p-norm: (sum_i w_i |x_i|^p)^(1/p), or max_i w_i |x_i| for p = inf."""
@@ -240,7 +237,6 @@ def norm_value(space: AtomicSpace, v: Vector, side: str = "primal") -> Value:
     q = p / (p - 1)
     # dual weight w**(1-q) is irrational in general; fold it into the term
     # enclosure: w**(1-q) * x**q, summed, then the q-th root.
-    terms = []
     width = TARGET_WIDTH / (4 * len(absv))
     for _ in range(6):
         lo = Fraction(0)
@@ -260,7 +256,6 @@ def norm_value(space: AtomicSpace, v: Vector, side: str = "primal") -> Value:
             return IntervalValue(rl, rh)
         width /= 2**10
     raise AssertionError("enclosure refinement failed to converge")
-    del terms
 
 
 @dataclass(frozen=True)

@@ -107,9 +107,7 @@ def cmd_probe(args) -> int:
         return EXIT_INPUT
     try:
         dims = _parse_dims(args.dims)
-        findings = probe_norm_one_projections(
-            args.p, dims, budget=args.budget, seed=args.seed, threads=args.threads
-        )
+        findings = probe_norm_one_projections(args.p, dims, budget=args.budget, seed=args.seed)
     except (ValidationError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -121,7 +119,7 @@ def cmd_probe(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import format_summary, run_all
 
-    results = run_all(seed=args.seed, threads=args.threads)
+    results = run_all(seed=args.seed)
     sys.stdout.write(format_summary(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFTEST
 
@@ -149,13 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="2..3", help="atom counts, e.g. 2..3")
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_probe)
 
     s = sub.add_parser("selftest", help="run the acceptance campaign")
     s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--threads", type=int, default=1)
     s.set_defaults(fn=cmd_selftest)
     return ap
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
+from . import linalg
 from .errors import (
     BudgetExceededError,
     UnachievableSupportError,
@@ -266,10 +267,6 @@ def pp_scale(c, f: PiecewisePoly) -> PiecewisePoly:
     return pp_map(lambda a: poly_scale(c, a), f)
 
 
-def pp_mul(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
-    return pp_map(poly_mul, f, g)
-
-
 def pp_restrict(f: PiecewisePoly, region: IntervalRegion) -> PiecewisePoly:
     """f times the indicator of the region (modulo null sets)."""
     pts = {Fraction(0), Fraction(1)}
@@ -321,10 +318,6 @@ class FiniteRankOp:
     @staticmethod
     def of(*terms) -> "FiniteRankOp":
         return FiniteRankOp(tuple((w, phi) for w, phi in terms))
-
-    @property
-    def rank_bound(self) -> int:
-        return len(self.terms)
 
 
 def frop_apply(T: FiniteRankOp, f: PiecewisePoly) -> PiecewisePoly:
@@ -427,17 +420,22 @@ def _layout(T: FiniteRankOp) -> _Layout:
     krows = _kernel_constraint_rows(T, segs, range(len(segs)))
     dependencies = nullspace(krows, m) if m else []
     moment_basis = _orthogonal_complement(dependencies, m)
-    range_polys = []
-    for c in moment_basis:
-        per_piece = []
-        for lo, _ in segs:
-            acc: Poly = ()
-            for ck, (_, phi) in zip(c, T.terms):
-                if ck != 0:
-                    acc = poly_add(acc, poly_scale(ck, phi.poly_at(lo)))
-            per_piece.append(acc)
-        range_polys.append(per_piece)
+    phis = _image_polys(T, segs)
+    range_polys = [[_combine(c, polys) for polys in phis] for c in moment_basis]
     return _Layout(segs, kernel_degrees, moment_basis, range_polys)
+
+
+def _image_polys(T: FiniteRankOp, segs: list[tuple[Fraction, Fraction]]) -> list[list[Poly]]:
+    """The polynomials of phi_1, phi_2, ... on each piece."""
+    return [[phi.poly_at(lo) for _, phi in T.terms] for lo, _ in segs]
+
+
+def _combine(coeffs: Sequence[Fraction], polys: list[Poly]) -> Poly:
+    acc: Poly = ()
+    for c, p in zip(coeffs, polys):
+        if c:
+            acc = poly_add(acc, poly_scale(c, p))
+    return acc
 
 
 def frop_image_subspace(T: FiniteRankOp, region: IntervalRegion) -> list[tuple[Fraction, ...]]:
@@ -478,108 +476,33 @@ def _intersect_spans(a: list[tuple], b: list[tuple], dim: int) -> list[tuple[Fra
     return _orthogonal_complement(ca + cb, dim)
 
 
-class _FuncItem(NamedTuple):
-    longvec: tuple[Fraction, ...]
-    mask: int
+def _piece_coordinates(
+    functions: list[list[Poly]], nseg: int
+) -> tuple[linalg.Blocks, list[tuple[Fraction, ...]]]:
+    """Coefficient vectors of functions given as one polynomial per piece.
+
+    Piece i is the block with bit ``1 << i``, one coordinate per coefficient
+    up to the highest degree any of the functions reaches there.
+    """
+    widths = [max((len(polys[pi]) for polys in functions), default=0) for pi in range(nseg)]
+    blocks = linalg.Blocks(1 << pi for pi, w in enumerate(widths) for _ in range(w))
+    vecs = [
+        tuple(c[d] if d < len(c) else Fraction(0) for c, w in zip(polys, widths) for d in range(w))
+        for polys in functions
+    ]
+    return blocks, vecs
 
 
 def _range_enumeration(T: FiniteRankOp) -> tuple[list[tuple[Fraction, Fraction]], frozenset[int]]:
     """All piece-masks of supports attainable by range elements."""
     layout = _layout(T)
-    segs = layout.segs
-    nseg = len(segs)
-    # coordinate layout over pieces where some range element is nonzero
-    widths = []
-    for pi in range(nseg):
-        deg = max((len(per[pi]) for per in layout.range_polys), default=0)
-        widths.append(deg)
-    active = [pi for pi in range(nseg) if widths[pi] > 0]
-    if len(active) > MAX_ENUM_PIECES:
+    blocks, vecs = _piece_coordinates(layout.range_polys, len(layout.segs))
+    if len(blocks.coords) > MAX_ENUM_PIECES:
         raise BudgetExceededError(
-            f"{len(active)} active pieces exceed the enumeration budget of {MAX_ENUM_PIECES}"
+            f"{len(blocks.coords)} active pieces exceed the enumeration budget of {MAX_ENUM_PIECES}"
         )
-    offsets = {}
-    pos = 0
-    for pi in active:
-        offsets[pi] = pos
-        pos += widths[pi]
-    total = pos
-
-    def to_item(per_piece: list[Poly]) -> _FuncItem:
-        xs = [Fraction(0)] * total
-        mask = 0
-        for pi in active:
-            c = per_piece[pi]
-            if c:
-                mask |= 1 << pi
-                off = offsets[pi]
-                for d, val in enumerate(c):
-                    xs[off + d] = val
-        return _FuncItem(tuple(xs), mask)
-
-    def recompute_mask(xs: tuple[Fraction, ...]) -> int:
-        mask = 0
-        for pi in active:
-            off = offsets[pi]
-            if any(xs[off + d] != 0 for d in range(widths[pi])):
-                mask |= 1 << pi
-        return mask
-
-    items = []
-    # echelonize the starting basis
-    pivots: dict[int, _FuncItem] = {}
-    for per in layout.range_polys:
-        it = to_item(per)
-        xs = list(it.longvec)
-        for piv, pit in pivots.items():
-            if xs[piv] != 0:
-                r = xs[piv] / pit.longvec[piv]
-                xs = [a - r * b for a, b in zip(xs, pit.longvec)]
-        t = tuple(xs)
-        m = recompute_mask(t)
-        if m:
-            lead = next(i for i, v in enumerate(t) if v != 0)
-            pivots[lead] = _FuncItem(t, m)
-    items = list(pivots.values())
-
-    def constrain_piece(cur: list[_FuncItem], pi: int) -> list[_FuncItem]:
-        out = cur
-        for d in range(widths[pi]):
-            coord = offsets[pi] + d
-            pivot = None
-            nxt = []
-            for it in out:
-                if it.longvec[coord] != 0:
-                    if pivot is None:
-                        pivot = it
-                    else:
-                        r = it.longvec[coord] / pivot.longvec[coord]
-                        xs = tuple(a - r * b for a, b in zip(it.longvec, pivot.longvec))
-                        m = recompute_mask(xs)
-                        if m:
-                            nxt.append(_FuncItem(xs, m))
-                else:
-                    nxt.append(it)
-            out = nxt
-        return out
-
-    results: set[int] = set()
-
-    def union_mask(cur: list[_FuncItem]) -> int:
-        m = 0
-        for it in cur:
-            m |= it.mask
-        return m
-
-    def rec(cur: list[_FuncItem], start: int) -> None:
-        results.add(union_mask(cur))
-        for idx in range(start, len(active)):
-            pi = active[idx]
-            if union_mask(cur) & (1 << pi):
-                rec(constrain_piece(cur, pi), idx + 1)
-
-    rec(items, 0)
-    return segs, frozenset(results)
+    items = linalg.echelonize(((v, ()) for v in vecs), blocks)
+    return layout.segs, linalg.support_masks(items, blocks)
 
 
 def _mask_region(segs, mask: int) -> IntervalRegion:
@@ -593,29 +516,28 @@ def frop_range_supports(T: FiniteRankOp) -> tuple[IntervalRegion, ...]:
     return tuple(sorted(regions, key=lambda r: (r.measure(), r.intervals)))
 
 
-def _bumps_for(T: FiniteRankOp, piece_filter) -> list[tuple[int, int, PiecewisePoly]]:
-    """Monomial bump functions t^d on kernel-active pieces passing the filter."""
+class _Bump(NamedTuple):
+    piece: int
+    f: PiecewisePoly  # the monomial t^d on the piece, zero elsewhere
+    image: tuple[Fraction, ...]  # coefficients of Tf on the blocks
+    mask: int  # pieces where Tf is nonzero
+
+
+def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
+    """Monomial bumps t^d on every kernel-active piece, with their images:
+    t^d on [lo, hi) maps to sum_k (int_lo^hi w_k t^d) phi_k."""
     layout = _layout(T)
-    bumps = []
+    phis = _image_polys(T, layout.segs)
+    raw, images = [], []
     for pi, (lo, hi) in enumerate(layout.segs):
-        deg = layout.kernel_degrees[pi]
-        if deg < 0 or not piece_filter(pi):
-            continue
-        for d in range(deg + 1):
-            coeffs = [Fraction(0)] * d + [Fraction(1)]
-            bumps.append((pi, d, PiecewisePoly.on_interval(lo, hi, coeffs)))
-    return bumps
-
-
-@lru_cache(maxsize=None)
-def _image_piece_mask(T: FiniteRankOp, f: PiecewisePoly) -> int:
-    layout = _layout(T)
-    img = frop_apply(T, f)
-    mask = 0
-    for pi, (lo, _) in enumerate(layout.segs):
-        if img.poly_at(lo):
-            mask |= 1 << pi
-    return mask
+        for d in range(layout.kernel_degrees[pi] + 1):
+            mono = (Fraction(0),) * d + (Fraction(1),)
+            moments = [poly_integral(poly_mul(w.poly_at(lo), mono), lo, hi) for w, _ in T.terms]
+            raw.append((pi, PiecewisePoly.on_interval(lo, hi, mono)))
+            images.append([_combine(moments, polys) for polys in phis])
+    blocks, vecs = _piece_coordinates(images, len(layout.segs))
+    bumps = [_Bump(pi, b, v, blocks.mask(v)) for (pi, b), v in zip(raw, vecs)]
+    return bumps, blocks
 
 
 def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
@@ -629,44 +551,28 @@ def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
         raise UnachievableSupportError(f"range support {S!r} not achievable")
     if target == 0:
         return PiecewisePoly.zero()
-    bumps = _bumps_for(T, lambda pi: True)
-    images = [frop_apply(T, b) for _, _, b in bumps]
-    rows = []
-    for pi, (lo, hi) in enumerate(segs):
-        if target >> pi & 1:
-            continue
-        deg = max((len(img.poly_at(lo)) for img in images), default=0)
-        for d in range(deg):
-            rows.append(
-                tuple(
-                    img.poly_at(lo)[d] if d < len(img.poly_at(lo)) else Fraction(0)
-                    for img in images
-                )
-            )
-    combos = nullspace(rows, len(bumps))
-    acc = PiecewisePoly.zero()
-    acc_img_mask = 0
-    for y in combos:
-        f = PiecewisePoly.zero()
-        for coef, (_, _, b) in zip(y, bumps):
-            if coef != 0:
-                f = pp_add(f, pp_scale(coef, b))
-        fmask = _image_piece_mask(T, f)
-        if fmask | acc_img_mask == acc_img_mask:
-            continue
-        want = acc_img_mask | fmask
-        for a in range(1, len(segs) + 2):
-            cand = pp_add(acc, pp_scale(a, f))
-            cmask = _image_piece_mask(T, cand)
-            if cmask == want:
-                acc = cand
-                acc_img_mask = cmask
-                break
-        else:  # pragma: no cover
-            raise AssertionError("no cancellation-free combination found")
-    if acc_img_mask != target:  # pragma: no cover - guarded by membership test
+    bumps, blocks = _bumps(T)
+    # combinations of bumps whose image vanishes off the target
+    rows = [
+        tuple(b.image[c] for b in bumps)
+        for bit, coords in blocks.coords.items()
+        if not target & bit
+        for c in coords
+    ]
+    items = []
+    for y in nullspace(rows, len(bumps)):
+        v = tuple(
+            sum((yb * b.image[c] for yb, b in zip(y, bumps) if yb), Fraction(0))
+            for c in range(len(blocks.bits))
+        )
+        items.append(linalg.Item(v, blocks.mask(v), y))
+    image, coeffs = linalg.combine_generic(items, blocks)
+    if blocks.mask(image) != target:  # pragma: no cover - guarded by membership test
         raise UnachievableSupportError(f"range support {S!r} not achievable")
-    return acc
+    per_piece: list[list[Fraction]] = [[] for _ in segs]
+    for b, c in zip(bumps, coeffs):
+        per_piece[b.piece].append(c)
+    return PiecewisePoly.from_pieces((lo, hi, cs) for (lo, hi), cs in zip(segs, per_piece))
 
 
 class FropWitness(NamedTuple):
@@ -693,18 +599,18 @@ def frop_is_sbp(T: FiniteRankOp) -> FropCheck:
     checking monomial bumps complete.
     """
     segs, masks = _range_enumeration(T)
+    bumps, _ = _bumps(T)
     for mask in sorted(masks):
         if mask == 0:
             continue
-        bumps = _bumps_for(T, lambda pi: not mask >> pi & 1)
-        for pi, d, b in bumps:
-            if _image_piece_mask(T, b) & mask:
+        for b in bumps:
+            if not mask >> b.piece & 1 and b.mask & mask:
                 g = realize_range_support(T, _mask_region(segs, mask))
                 w = FropWitness(
                     "SBP-violation",
-                    b,
+                    b.f,
                     g,
-                    f"bump on piece {segs[pi]} is disjoint from supp(Tg) "
+                    f"bump on piece {segs[b.piece]} is disjoint from supp(Tg) "
                     f"yet its image meets it",
                 )
                 return FropCheck(False, w)
@@ -714,18 +620,18 @@ def frop_is_sbp(T: FiniteRankOp) -> FropCheck:
 def frop_is_scp(T: FiniteRankOp) -> FropCheck:
     """Semi containment preserving, decided universally."""
     segs, masks = _range_enumeration(T)
+    bumps, _ = _bumps(T)
     for mask in sorted(masks):
         if mask == 0:
             continue
-        bumps = _bumps_for(T, lambda pi: bool(mask >> pi & 1))
-        for pi, d, b in bumps:
-            if _image_piece_mask(T, b) & ~mask:
+        for b in bumps:
+            if mask >> b.piece & 1 and b.mask & ~mask:
                 g = realize_range_support(T, _mask_region(segs, mask))
                 w = FropWitness(
                     "SCP-violation",
-                    b,
+                    b.f,
                     g,
-                    f"bump on piece {segs[pi]} lies in the band of Tg "
+                    f"bump on piece {segs[b.piece]} lies in the band of Tg "
                     f"yet its image escapes supp(Tg)",
                 )
                 return FropCheck(False, w)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import linalg
 from .atomic import (
     INF,
     AtomicSpace,
@@ -27,7 +28,6 @@ from .atomic import (
     norm_value,
     support,
     support_mask,
-    vec_add,
     vec_scale,
     zero_vector,
 )
@@ -134,16 +134,6 @@ class Witness(NamedTuple):
     note: str
 
 
-WITNESS_KINDS = (
-    "SBP-violation",
-    "SCP-violation",
-    "BP-violation",
-    "DP-violation",
-    "beta-violation",
-    "closure-violation",
-)
-
-
 @dataclass(frozen=True)
 class PredicateResult:
     holds: bool
@@ -181,123 +171,27 @@ class SigmaTable:
         return len(self.masks)
 
 
-class _Item(NamedTuple):
-    vec: Vector
-    mask: int
-    pre: Vector  # domain vector with T(pre) == vec
-
-
-def _reduced_columns(T: Operator) -> list[_Item]:
-    """An echelonized spanning set of the column space, with preimages."""
+def _column_space(T: Operator) -> list[linalg.Item]:
+    """Echelon items spanning the column space, each with a preimage."""
     n = T.n
-    items: dict[int, _Item] = {}  # pivot row index (0-based) -> item
-    for j in range(1, n + 1):
-        v = list(T.column(j))
-        pre = list(basis_vector(n, j))
-        for piv, it in items.items():
-            c = v[piv]
-            if c != 0:
-                ratio = c / it.vec[piv]
-                v = [a - ratio * b for a, b in zip(v, it.vec)]
-                pre = [a - ratio * b for a, b in zip(pre, it.pre)]
-        m = support_mask(tuple(v))
-        if m:
-            piv = (m & -m).bit_length() - 1
-            items[piv] = _Item(tuple(v), m, tuple(pre))
-    return list(items.values())
-
-
-def _constrain(items: list[_Item], atom_bit: int) -> list[_Item]:
-    """Intersect the spanned subspace with {v : v[atom] = 0}."""
-    pivot = None
-    out = []
-    for it in items:
-        if it.mask & atom_bit:
-            if pivot is None:
-                pivot = it
-            else:
-                idx = atom_bit.bit_length() - 1
-                ratio = it.vec[idx] / pivot.vec[idx]
-                v = tuple(a - ratio * b for a, b in zip(it.vec, pivot.vec))
-                pre = tuple(a - ratio * b for a, b in zip(it.pre, pivot.pre))
-                m = support_mask(v)
-                if m:
-                    out.append(_Item(v, m, pre))
-        else:
-            out.append(it)
-    return out
-
-
-def _union_mask(items: list[_Item]) -> int:
-    m = 0
-    for it in items:
-        m |= it.mask
-    return m
+    columns = ((T.column(j), basis_vector(n, j)) for j in range(1, n + 1))
+    return linalg.echelonize(columns, linalg.Blocks.atoms(n))
 
 
 @lru_cache(maxsize=None)
 def _sigma_cached(n: int, rows: tuple) -> SigmaTable:
-    T = Operator(AtomicSpace.lp(n, 2), rows)
-    items = _reduced_columns(T)
-    s_t = _union_mask(items)
-    rank = len(items)
-    if bin(s_t).count("1") > MAX_SIGMA_ATOMS:
+    items = _column_space(Operator(AtomicSpace.lp(n, 2), rows))
+    s_t = linalg.union_mask(items)
+    if s_t.bit_count() > MAX_SIGMA_ATOMS:
         raise BudgetExceededError(
-            f"support enumeration over {bin(s_t).count('1')} atoms exceeds the budget"
+            f"support enumeration over {s_t.bit_count()} atoms exceeds the budget"
         )
-    if rank == bin(s_t).count("1"):
-        # The range projects onto all coordinates of S_T, so every subset
-        # of S_T is achievable.
-        masks = []
-        bits = [1 << i for i in range(n) if s_t >> i & 1]
-        for k in range(1 << len(bits)):
-            m = 0
-            for t, b in enumerate(bits):
-                if k >> t & 1:
-                    m |= b
-            masks.append(m)
-        return SigmaTable(n, frozenset(masks), s_t)
-
-    atoms_bits = [1 << i for i in range(n) if s_t >> i & 1]
-    results: set[int] = set()
-
-    def rec(cur: list[_Item], start: int) -> None:
-        results.add(_union_mask(cur))
-        for idx in range(start, len(atoms_bits)):
-            bit = atoms_bits[idx]
-            if _union_mask(cur) & bit:
-                rec(_constrain(cur, bit), idx + 1)
-
-    rec(items, 0)
-    return SigmaTable(n, frozenset(results), s_t)
+    return SigmaTable(n, linalg.support_masks(items, linalg.Blocks.atoms(n)), s_t)
 
 
 def enumerate_sigma(T: Operator) -> SigmaTable:
     """All supports attained by range elements of T (memoized per matrix)."""
     return _sigma_cached(T.n, T.rows)
-
-
-def _combine_generic(items: list[_Item], n: int) -> tuple[Vector, Vector]:
-    """A deterministic element of span(items) with full support U, plus its
-    preimage.  Trying alpha = 1..n+1 suffices: each already-covered
-    coordinate rules out at most one alpha."""
-    acc_v = zero_vector(n)
-    acc_p = zero_vector(n)
-    acc_mask = 0
-    for it in items:
-        if it.mask | acc_mask == acc_mask:
-            continue
-        target = acc_mask | it.mask
-        for a in range(1, n + 2):
-            cand = vec_add(acc_v, vec_scale(a, it.vec))
-            if support_mask(cand) == target:
-                acc_v = cand
-                acc_p = vec_add(acc_p, vec_scale(a, it.pre))
-                acc_mask = target
-                break
-        else:  # pragma: no cover - impossible by the counting argument
-            raise AssertionError("no cancellation-free combination found")
-    return acc_v, acc_p
 
 
 def realize_support(T: Operator, S: SupportSet) -> Vector:
@@ -308,14 +202,12 @@ def realize_support(T: Operator, S: SupportSet) -> Vector:
         raise UnachievableSupportError(f"support {S!r} not achievable")
     if target == 0:
         return zero_vector(T.n)
-    items = _reduced_columns(T)
-    forced_zero = sigma.s_t_mask & ~target
-    i = 0
-    while forced_zero >> i:
-        if forced_zero >> i & 1:
-            items = _constrain(items, 1 << i)
-        i += 1
-    v, pre = _combine_generic(items, T.n)
+    blocks = linalg.Blocks.atoms(T.n)
+    items = _column_space(T)
+    for bit in blocks.coords:
+        if sigma.s_t_mask & ~target & bit:
+            items = linalg.constrain(items, bit, blocks)
+    v, pre = linalg.combine_generic(items, blocks)
     if support_mask(v) != target:  # pragma: no cover - guarded by sigma membership
         raise UnachievableSupportError(f"support {S!r} not achievable")
     return pre
@@ -407,8 +299,8 @@ def is_beta(T: Operator) -> PredicateResult:
             b[j1 - 1] = T.entry(k, jm)
             b[jm - 1] = -T.entry(k, j1)
             bt = tuple(b)
-            items.append(_Item(bt, support_mask(bt), bt))
-        g, _ = _combine_generic(items, n)
+            items.append(linalg.Item(bt, support_mask(bt), bt))
+        g, _ = linalg.combine_generic(items, linalg.Blocks.atoms(n))
         g = _canonical_integer_vector(g)
         f = basis_vector(n, j1)
         w = Witness(
@@ -563,7 +455,7 @@ def replay_witness(T: Operator, w: Witness) -> bool:
 
 def _rank_one_factors(T: Operator) -> tuple[Vector, Vector] | None:
     """If T = u psi^T, return (u, psi) with u scaled to leading entry 1."""
-    items = _reduced_columns(T)
+    items = _column_space(T)
     if len(items) != 1:
         return None
     u = items[0].vec

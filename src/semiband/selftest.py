@@ -1,16 +1,14 @@
 """Deterministic acceptance campaign.
 
 Each criterion returns a single pass/fail line; the whole battery is pure
-given (seed, threads), so two runs produce byte-identical summaries and a
-many-thread run matches a single-thread run.
+given the seed, so two runs produce byte-identical summaries.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .atomic import AtomicSpace, support_mask
 from .generators import gen_random_operator, gen_random_wce, perturb_off_block, random_partition
@@ -66,19 +64,12 @@ class CriterionResult:
         return f"{tag} {self.number:>2} {self.name}: {self.detail}"
 
 
-def _map(fn: Callable, items: list, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _forms(seed: int, count: int, ns: Iterable[int]) -> list[WceForm]:
     ns = list(ns)
     return [gen_random_wce(seed * 100000 + i, ns[i % len(ns)]) for i in range(count)]
 
 
-def criterion_1_roundtrip(seed: int, threads: int) -> tuple[CriterionResult, list[WceForm]]:
+def criterion_1_roundtrip(seed: int) -> tuple[CriterionResult, list[WceForm]]:
     forms = _forms(seed, 200, range(2, 13))
 
     def check(form: WceForm) -> str | None:
@@ -94,14 +85,14 @@ def criterion_1_roundtrip(seed: int, threads: int) -> tuple[CriterionResult, lis
             return "decomposition did not recover the canonical form"
         return None
 
-    failures = [e for e in _map(check, forms, threads) if e]
+    failures = [e for e in map(check, forms) if e]
     detail = f"{200 - len(failures)}/200 forms recovered exactly"
     if failures:
         detail += f"; first failure: {failures[0]}"
     return CriterionResult(1, "wce-round-trip", not failures, detail), forms
 
 
-def criterion_2_negative(seed: int, forms: list[WceForm], threads: int) -> CriterionResult:
+def criterion_2_negative(seed: int, forms: list[WceForm]) -> CriterionResult:
     def check(item) -> str | None:
         i, form = item
         perturbed = perturb_off_block(seed * 100000 + i, form)
@@ -120,7 +111,7 @@ def criterion_2_negative(seed: int, forms: list[WceForm], threads: int) -> Crite
             return "witness failed to replay"
         return "broken"  # counted, not a failure
 
-    outcomes = _map(check, list(enumerate(forms)), threads)
+    outcomes = [check(item) for item in enumerate(forms)]
     failures = [o for o in outcomes if o not in (None, "broken")]
     broken = sum(1 for o in outcomes if o == "broken")
     detail = f"{broken}/200 perturbations broke the property; all witnesses replayed"
@@ -129,7 +120,7 @@ def criterion_2_negative(seed: int, forms: list[WceForm], threads: int) -> Crite
     return CriterionResult(2, "sbp-negative-witnesses", not failures, detail)
 
 
-def criterion_3_sbp_implies_scp(seed: int, forms: list[WceForm], threads: int) -> CriterionResult:
+def criterion_3_sbp_implies_scp(seed: int, forms: list[WceForm]) -> CriterionResult:
     ops = []
     densities = [0.15, 0.3, 0.5, 0.75, 1.0]
     ns = list(range(2, 9))
@@ -142,7 +133,7 @@ def criterion_3_sbp_implies_scp(seed: int, forms: list[WceForm], threads: int) -
     def check(T: Operator) -> bool:
         return (not is_sbp(T).holds) or is_scp(T).holds
 
-    oks = _map(check, ops, threads)
+    oks = [check(T) for T in ops]
     bad = oks.count(False)
     return CriterionResult(
         3,
@@ -152,7 +143,7 @@ def criterion_3_sbp_implies_scp(seed: int, forms: list[WceForm], threads: int) -
     )
 
 
-def criterion_4_sigma_laws(seed: int, threads: int) -> CriterionResult:
+def criterion_4_sigma_laws(seed: int) -> CriterionResult:
     densities = [0.2, 0.4, 0.6, 0.8, 1.0]
     ns = list(range(2, 9))
     ops = [
@@ -175,14 +166,14 @@ def criterion_4_sigma_laws(seed: int, threads: int) -> CriterionResult:
                     return "atom outside S_T has a nonzero image"
         return None
 
-    failures = [e for e in _map(check, ops, threads) if e]
+    failures = [e for e in map(check, ops) if e]
     detail = "300/300 operators satisfy the closure laws"
     if failures:
         detail = f"failure: {failures[0]}"
     return CriterionResult(4, "sigma-closure-laws", not failures, detail)
 
 
-def criterion_5_oracle_agreement(seed: int, threads: int) -> CriterionResult:
+def criterion_5_oracle_agreement(seed: int) -> CriterionResult:
     family = []
     for n, max_nnz in ((1, 1), (2, 4), (3, 3), (4, 3)):
         space = AtomicSpace.lp(n, 2)
@@ -197,7 +188,7 @@ def criterion_5_oracle_agreement(seed: int, threads: int) -> CriterionResult:
             return f"scp mismatch on {T.rows}"
         return None
 
-    failures = [e for e in _map(check, family, threads) if e]
+    failures = [e for e in map(check, family) if e]
 
     ns = list(range(3, 13))
     densities = [0.4, 0.7, 1.0]
@@ -214,7 +205,7 @@ def criterion_5_oracle_agreement(seed: int, threads: int) -> CriterionResult:
                 return f"sampled {which} violation contradicts a true verdict"
         return None
 
-    failures += [e for e in _map(check_sampled, list(enumerate(rand_ops)), threads) if e]
+    failures += [e for e in map(check_sampled, enumerate(rand_ops)) if e]
     detail = (
         f"{len(family)} small matrices agree with the symbolic oracle; "
         f"50 sampled operators consistent"
@@ -281,7 +272,7 @@ def criterion_6_examples() -> CriterionResult:
     return CriterionResult(6, "worked-examples", not problems, detail)
 
 
-def criterion_7_averaging(seed: int, threads: int) -> CriterionResult:
+def criterion_7_averaging(seed: int) -> CriterionResult:
     import random as _random
 
     items = []
@@ -305,23 +296,23 @@ def criterion_7_averaging(seed: int, threads: int) -> CriterionResult:
                 return f"averaging norm differs from 1 at p={p}"
         return None
 
-    failures = [e for e in _map(check, items, threads) if e]
+    failures = [e for e in map(check, items) if e]
     detail = "100/100 averaging operators are norm-one projections with both properties"
     if failures:
         detail = f"failure: {failures[0]}"
     return CriterionResult(7, "averaging-operators", not failures, detail)
 
 
-def criterion_8_probe(seed: int, threads: int) -> CriterionResult:
+def criterion_8_probe(seed: int) -> CriterionResult:
     problems = []
-    findings = probe_norm_one_projections(1, [2, 3], budget=600, seed=seed, threads=threads)
+    findings = probe_norm_one_projections(1, [2, 3], budget=600, seed=seed)
     if not findings:
         problems.append("the p=1 probe found no candidates at all")
     for f in findings:
         if not verify_probe_finding(f):
             problems.append("a p=1 finding failed exact re-verification")
             break
-    findings2 = probe_norm_one_projections(2, [2, 3], budget=600, seed=seed, threads=threads)
+    findings2 = probe_norm_one_projections(2, [2, 3], budget=600, seed=seed)
     if findings2:
         problems.append(f"p=2 rank-one grid produced {len(findings2)} findings; expected none")
     detail = (
@@ -332,37 +323,37 @@ def criterion_8_probe(seed: int, threads: int) -> CriterionResult:
     return CriterionResult(8, "norm-one-projection-probe", not problems, detail)
 
 
-def criterion_9_determinism(seed: int, threads: int) -> CriterionResult:
+def criterion_9_determinism(seed: int) -> CriterionResult:
     problems = []
     Q = escape_projection()
     r1 = dumps(build_analysis_report(Q))
     r2 = dumps(build_analysis_report(Q))
     if r1 != r2:
         problems.append("analysis report bytes differ between runs")
-    f1 = probe_norm_one_projections(1, [2], budget=200, seed=seed, threads=1)
-    f2 = probe_norm_one_projections(1, [2], budget=200, seed=seed, threads=max(2, threads))
+    f1 = probe_norm_one_projections(1, [2], budget=200, seed=seed)
+    f2 = probe_norm_one_projections(1, [2], budget=200, seed=seed)
     p1 = dumps(build_probe_report(1, [2], 200, seed, f1))
     p2 = dumps(build_probe_report(1, [2], 200, seed, f2))
     if p1 != p2:
-        problems.append("probe report bytes differ across thread counts")
-    detail = "reports byte-identical across repeated and threaded runs"
+        problems.append("probe report bytes differ between runs")
+    detail = "reports byte-identical across repeated runs"
     if problems:
         detail = f"failure: {problems[0]}"
     return CriterionResult(9, "determinism", not problems, detail)
 
 
-def run_all(seed: int = 1, threads: int = 1) -> list[CriterionResult]:
-    c1, forms = criterion_1_roundtrip(seed, threads)
+def run_all(seed: int = 1) -> list[CriterionResult]:
+    c1, forms = criterion_1_roundtrip(seed)
     results = [
         c1,
-        criterion_2_negative(seed, forms, threads),
-        criterion_3_sbp_implies_scp(seed, forms, threads),
-        criterion_4_sigma_laws(seed, threads),
-        criterion_5_oracle_agreement(seed, threads),
+        criterion_2_negative(seed, forms),
+        criterion_3_sbp_implies_scp(seed, forms),
+        criterion_4_sigma_laws(seed),
+        criterion_5_oracle_agreement(seed),
         criterion_6_examples(),
-        criterion_7_averaging(seed, threads),
-        criterion_8_probe(seed, threads),
-        criterion_9_determinism(seed, threads),
+        criterion_7_averaging(seed),
+        criterion_8_probe(seed),
+        criterion_9_determinism(seed),
     ]
     return results
 

@@ -197,10 +197,6 @@ def compare(a, b) -> int:
     )
 
 
-def values_equal(a, b) -> bool:
-    return compare(a, b) == 0
-
-
 def multiply(a, b) -> Value:
     """Product of two nonnegative values, kept exact whenever possible."""
     a, b = _coerce(a), _coerce(b)
@@ -222,11 +218,20 @@ def multiply(a, b) -> Value:
 
 
 def value_max(items) -> Value:
-    """Maximum of a nonempty iterable of values (exact comparisons)."""
+    """Maximum of a nonempty iterable of values.
+
+    Exact whenever the comparisons decide it.  Where two enclosures cannot
+    be separated the result is their certified hull: max is monotone, so it
+    lies between the larger lower end and the larger upper end.
+    """
     it = iter(items)
     best = _coerce(next(it))
     for x in it:
         x = _coerce(x)
-        if compare(x, best) > 0:
-            best = x
+        try:
+            if compare(x, best) > 0:
+                best = x
+        except IndeterminateComparisonError:
+            (blo, bhi), (xlo, xhi) = best.enclosure(), x.enclosure()
+            best = IntervalValue(max(blo, xlo), max(bhi, xhi))
     return best

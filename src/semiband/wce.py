@@ -235,15 +235,6 @@ class ProbeFinding:
     norm_evidence: "Value"
     sbp_witness: Witness
 
-    def facts(self) -> dict:
-        return {
-            "projection": True,
-            "norm_one": True,
-            "semi_containment_preserving": True,
-            "strictly_monotone": True,
-            "semi_band_preserving": False,
-        }
-
 
 def verify_probe_finding(finding: ProbeFinding) -> bool:
     """Re-derive all five facts of a finding from scratch, exactly."""
@@ -284,7 +275,6 @@ def probe_norm_one_projections(
     dims: Iterable[int],
     budget: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[ProbeFinding]:
     """Search structured candidate families for norm-one SCP projections on
     strictly monotone spaces that are not decomposable.
@@ -381,16 +371,9 @@ def probe_norm_one_projections(
             return None
         return ProbeFinding(space, T, nrm, decomp)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            evaluated = list(pool.map(evaluate, candidates))
-    else:
-        evaluated = [evaluate(c) for c in candidates]
     findings = []
     seen = set()
-    for f in evaluated:
+    for f in map(evaluate, candidates):
         if f is None:
             continue
         key = (f.space.n, f.operator.rows)

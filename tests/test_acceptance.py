@@ -1,7 +1,7 @@
 """Acceptance battery: every criterion prints one pass/fail line.
 
-The campaign engine is deterministic given (seed, threads); criterion 9
-re-runs it with a different thread count and demands byte-identical output.
+The campaign engine is deterministic given the seed; criterion 9 repeats
+its reports and demands byte-identical output.
 Run with ``pytest tests/test_acceptance.py -v -s`` or, equivalently,
 ``semiband selftest --seed 1``.
 """
@@ -15,7 +15,7 @@ SEED = 1
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_all(seed=SEED, threads=1)
+    return run_all(seed=SEED)
 
 
 def _check(campaign, number: int) -> CriterionResult:
@@ -59,7 +59,6 @@ def test_criterion_8_probe(campaign):
 
 def test_criterion_9_determinism(campaign):
     _check(campaign, 9)
-    # the whole campaign must be reproducible byte for byte, including
-    # under a different thread count
-    again = run_all(seed=SEED, threads=2)
+    # the whole campaign must be reproducible byte for byte
+    again = run_all(seed=SEED)
     assert format_summary(again) == format_summary(campaign)

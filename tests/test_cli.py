@@ -177,8 +177,7 @@ def test_cli_determinism_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     pa, pb = tmp_path / "pa.json", tmp_path / "pb.json"
     run_cli("probe", "--p", "1", "--dims", "2..2", "--budget", "150", "--seed", "2", "--out", str(pa))
-    run_cli("probe", "--p", "1", "--dims", "2..2", "--budget", "150", "--seed", "2",
-            "--threads", "3", "--out", str(pb))
+    run_cli("probe", "--p", "1", "--dims", "2..2", "--budget", "150", "--seed", "2", "--out", str(pb))
     assert pa.read_bytes() == pb.read_bytes()
 
 

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semiband.atomic import AtomicSpace, SupportSet
 from semiband.errors import BudgetExceededError, UnachievableSupportError, ValidationError
 from semiband.interval import (
     EMPTY_REGION,
@@ -31,6 +34,7 @@ from semiband.interval import (
     realize_range_support,
     replay_frop_witness,
 )
+from semiband.operators import Operator, enumerate_sigma, is_sbp, is_scp
 from semiband.oracles import random_piecewise, sampled_frop_check
 
 HALF = Fraction(1, 2)
@@ -305,3 +309,47 @@ def test_restriction():
     g = pp_restrict(f, r)
     assert pp_support(g) == r
     assert integrate(g, PiecewisePoly.const(1)) == Fraction(1, 4)
+
+
+@st.composite
+def _atomic_operators(draw) -> Operator:
+    """T = U V with U n x r and V r x n over a small, zero-heavy grid."""
+    n = draw(st.integers(2, 6))
+    r = draw(st.integers(1, n))
+    entry = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+    U = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+    V = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    rows = [[sum(U[i][k] * V[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+    return Operator.from_rows(AtomicSpace.lp(n, 2), rows)
+
+
+def _embed(T: Operator) -> tuple[FiniteRankOp, list[tuple[Fraction, Fraction]]]:
+    """T as a finite-rank interval operator: atom j is the piece
+    [(j-1)/n, j/n), w_j its indicator and phi_j column j as a step function."""
+    n = T.n
+    pieces = [(Fraction(i, n), Fraction(i + 1, n)) for i in range(n)]
+    terms = []
+    for j in range(1, n + 1):
+        phi = PiecewisePoly.from_pieces(
+            (lo, hi, (T.entry(i + 1, j),)) for i, (lo, hi) in enumerate(pieces)
+        )
+        terms.append((PiecewisePoly.indicator(*pieces[j - 1]), phi))
+    return FiniteRankOp.of(*terms), pieces
+
+
+@settings(max_examples=60)
+@given(_atomic_operators())
+def test_embedded_atomic_operator_agrees_across_models(T):
+    # the interval model must see the atomic operator's supports and
+    # verdicts, piece i standing for atom i
+    F, pieces = _embed(T)
+    sigma = {
+        IntervalRegion.of(*(pieces[i - 1] for i in SupportSet.from_mask(m).atoms))
+        for m in enumerate_sigma(T).masks
+    }
+    assert set(frop_range_supports(F)) == sigma
+    for frop_check, atomic_check in ((frop_is_sbp, is_sbp), (frop_is_scp, is_scp)):
+        verdict = frop_check(F)
+        assert verdict.holds == atomic_check(T).holds
+        if verdict.witness is not None:
+            assert replay_frop_witness(F, verdict.witness)

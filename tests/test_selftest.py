@@ -21,10 +21,10 @@ def test_summary_format():
 
 def test_cli_exit_codes(monkeypatch, capsys):
     ok = [CriterionResult(1, "alpha", True, "fine")]
-    monkeypatch.setattr("semiband.selftest.run_all", lambda seed, threads: ok)
+    monkeypatch.setattr("semiband.selftest.run_all", lambda seed: ok)
     assert cli.main(["selftest", "--seed", "1"]) == 0
     bad = [CriterionResult(1, "wce-round-trip", False, "sign flipped")]
-    monkeypatch.setattr("semiband.selftest.run_all", lambda seed, threads: bad)
+    monkeypatch.setattr("semiband.selftest.run_all", lambda seed: bad)
     assert cli.main(["selftest", "--seed", "1"]) == 1
     out = capsys.readouterr().out
     assert "wce-round-trip" in out

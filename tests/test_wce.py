@@ -30,7 +30,7 @@ from semiband import (
 )
 from semiband.errors import ValidationError
 from semiband.generators import gen_random_wce, perturb_off_block
-from semiband.values import compare, exact, multiply
+from semiband.values import IntervalValue, compare, exact, multiply
 from semiband.wce import WceForm
 
 
@@ -208,12 +208,16 @@ def test_probe_p2_rank_one_grid_is_empty():
 
 def test_verify_probe_finding_rejects_undecidable_norm():
     # the two block norms of this averaging projection at p = 3/2 have
-    # overlapping enclosures, so its norm-one check is not decidable: the
-    # finding is rejected instead of the error escaping
+    # overlapping enclosures, so its norm is a certified interval around 1
+    # and its norm-one check is not decidable: the finding is rejected
+    # instead of the error escaping
     sp = AtomicSpace.lp(4, Fraction(3, 2))
     T = make_averaging(sp, [SupportSet.of(1, 2), SupportSet.of(3, 4)])
+    nrm = operator_norm(sp, T)
+    assert isinstance(nrm, IntervalValue)
+    assert nrm.lo <= 1 <= nrm.hi
     with pytest.raises(IndeterminateComparisonError):
-        operator_norm(sp, T)
+        compare(nrm, 1)
     assert verify_probe_finding(ProbeFinding(sp, T, exact(1), None)) is False
 
 

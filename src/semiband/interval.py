@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -406,7 +405,7 @@ def _kernel_constraint_rows(
     return rows
 
 
-@lru_cache(maxsize=None)
+@linalg.per_operator
 def _layout(T: FiniteRankOp) -> _Layout:
     fs = [w for w, _ in T.terms] + [phi for _, phi in T.terms]
     segs = _refine(fs) if fs else [(Fraction(0), Fraction(1))]
@@ -493,6 +492,7 @@ def _piece_coordinates(
     return blocks, vecs
 
 
+@linalg.per_operator
 def _range_enumeration(T: FiniteRankOp) -> tuple[list[tuple[Fraction, Fraction]], frozenset[int]]:
     """All piece-masks of supports attainable by range elements."""
     layout = _layout(T)
@@ -523,6 +523,7 @@ class _Bump(NamedTuple):
     mask: int  # pieces where Tf is nonzero
 
 
+@linalg.per_operator
 def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
     """Monomial bumps t^d on every kernel-active piece, with their images:
     t^d on [lo, hi) maps to sum_k (int_lo^hi w_k t^d) phi_k."""
@@ -565,7 +566,7 @@ def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
             sum((yb * b.image[c] for yb, b in zip(y, bumps) if yb), Fraction(0))
             for c in range(len(blocks.bits))
         )
-        items.append(linalg.Item(v, blocks.mask(v), y))
+        items.append(linalg.item(v, y, blocks))
     image, coeffs = linalg.combine_generic(items, blocks)
     if blocks.mask(image) != target:  # pragma: no cover - guarded by membership test
         raise UnachievableSupportError(f"range support {S!r} not achievable")

@@ -1,11 +1,17 @@
 """The exact support engine shared by the atomic and interval models.
 
-A subspace is held as a list of echelon items ``(vec, mask, pre)``: ``vec``
-is a rational coordinate vector, ``mask`` the set of blocks on which it is
-nonzero, and ``pre`` passenger coordinates carried through every
-elimination step (preimages for atoms, combination coefficients for
-pieces, empty when unused).  Blocks are read through a coordinate -> bit
-table: one coordinate per atom, one per polynomial coefficient of a piece.
+A subspace is held as a list of echelon items ``(vec, mask, pre, den)``:
+``vec`` is a coordinate vector and ``pre`` passenger coordinates carried
+through every elimination step (preimages for atoms, combination
+coefficients for pieces, empty when unused), both integer numerators over
+the one positive denominator ``den``; ``mask`` is the set of blocks on
+which ``vec`` is nonzero.  Elimination cross-multiplies and divides each
+new row by the gcd of its numerators and denominator, so every item is
+the rational vector a ``Fraction`` elimination would give, computed
+without ``Fraction`` arithmetic.  Fractions appear only where rows enter
+(``item``) and where vectors leave (``fractions``).  Blocks are read
+through a coordinate -> bit table: one coordinate per atom, one per
+polynomial coefficient of a piece.
 
 A set of blocks is the support of some element of a subspace exactly when
 the elements vanishing on every other block are not all zero on one of
@@ -15,16 +21,37 @@ cover a subspace, so this test is exact.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-Vec = tuple[Fraction, ...]
+
+def per_operator(fn: Callable) -> Callable:
+    """Keep ``fn(T)`` on the operator ``T`` itself, so each part of the
+    engine's state is built once per operator and freed with it.
+
+    The result goes into the instance ``__dict__`` directly, which frozen
+    dataclasses still have (as ``functools.cached_property`` does); a call
+    that raises stores nothing.  Results must not be mutated.
+    """
+    key = f"_{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def kept(T):
+        memo = T.__dict__
+        if key not in memo:
+            memo[key] = fn(T)
+        return memo[key]
+
+    return kept
 
 
 class Item(NamedTuple):
-    vec: Vec
+    vec: tuple[int, ...]
     mask: int
-    pre: Vec
+    pre: tuple[int, ...]
+    den: int
 
 
 class Blocks:
@@ -43,7 +70,7 @@ class Blocks:
     def atoms(n: int) -> "Blocks":
         return Blocks(1 << i for i in range(n))
 
-    def mask(self, v: Iterable[Fraction]) -> int:
+    def mask(self, v: Iterable) -> int:
         m = 0
         for x, b in zip(v, self.bits):
             if x:
@@ -51,8 +78,46 @@ class Blocks:
         return m
 
 
-def echelonize(rows: Iterable[tuple[Vec, Vec]], blocks: Blocks) -> list[Item]:
-    """An echelon spanning set of the rows ``(vec, pre)``.
+def item(vec: Sequence, pre: Sequence, blocks: Blocks) -> Item:
+    """The item of a rational row ``(vec, pre)``, over the least common
+    denominator of its entries (which leaves it in lowest terms)."""
+    xs = [Fraction(x) for x in (*vec, *pre)]
+    den = math.lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (den // x.denominator) for x in xs]
+    v = tuple(ints[: len(vec)])
+    return Item(v, blocks.mask(v), tuple(ints[len(vec):]), den)
+
+
+def fractions(ints: Iterable[int], den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, den) for x in ints)
+
+
+def _lowest(vec: list[int], pre: list[int], den: int, blocks: Blocks) -> Item:
+    """The item (vec, pre) / den in lowest terms, denominator positive."""
+    g = math.gcd(*vec, *pre, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        vec = [x // g for x in vec]
+        pre = [x // g for x in pre]
+        den //= g
+    return Item(tuple(vec), blocks.mask(vec), tuple(pre), den)
+
+
+def _eliminate(it: Item, pivot: Item, c: int, blocks: Blocks) -> Item:
+    """it - (it[c] / pivot[c]) pivot, zero at coordinate c.
+
+    With it = X/d and pivot = Y/e this is (Y[c] X - X[c] Y) / (d Y[c]):
+    the pivot's own denominator cancels.
+    """
+    a, b = pivot.vec[c], it.vec[c]
+    vec = [a * x - b * y for x, y in zip(it.vec, pivot.vec)]
+    pre = [a * x - b * y for x, y in zip(it.pre, pivot.pre)]
+    return _lowest(vec, pre, it.den * a, blocks)
+
+
+def echelonize(rows: Iterable[tuple[Sequence, Sequence]], blocks: Blocks) -> list[Item]:
+    """An echelon spanning set of the rational rows ``(vec, pre)``.
 
     Each row is reduced against the earlier pivots in the order they were
     found; a nonzero remainder becomes a pivot at its first nonzero
@@ -60,17 +125,13 @@ def echelonize(rows: Iterable[tuple[Vec, Vec]], blocks: Blocks) -> list[Item]:
     """
     pivots: dict[int, Item] = {}
     for v, pre in rows:
-        v, pre = list(v), list(pre)
-        for piv, it in pivots.items():
-            c = v[piv]
-            if c:
-                r = c / it.vec[piv]
-                v = [a - r * b for a, b in zip(v, it.vec)]
-                pre = [a - r * b for a, b in zip(pre, it.pre)]
-        m = blocks.mask(v)
-        if m:
-            lead = next(i for i, x in enumerate(v) if x)
-            pivots[lead] = Item(tuple(v), m, tuple(pre))
+        it = item(v, pre, blocks)
+        for piv, p in pivots.items():
+            if it.vec[piv]:
+                it = _eliminate(it, p, piv, blocks)
+        if it.mask:
+            lead = next(i for i, x in enumerate(it.vec) if x)
+            pivots[lead] = it
     return list(pivots.values())
 
 
@@ -87,11 +148,9 @@ def constrain(items: list[Item], bit: int, blocks: Blocks) -> list[Item]:
             elif pivot is None:
                 pivot = it
             else:
-                r = it.vec[c] / pivot.vec[c]
-                v = tuple(a - r * b for a, b in zip(it.vec, pivot.vec))
-                m = blocks.mask(v)
-                if m:
-                    out.append(Item(v, m, tuple(a - r * b for a, b in zip(it.pre, pivot.pre))))
+                it = _eliminate(it, pivot, c, blocks)
+                if it.mask:
+                    out.append(it)
         items = out
     return items
 
@@ -109,7 +168,8 @@ def support_masks(items: list[Item], blocks: Blocks) -> frozenset[int]:
     When the span has as many dimensions as live coordinates it holds every
     vector on them, so every set of live blocks is a support.  Otherwise
     the sets are found by constraining blocks in ascending bit order,
-    skipping blocks the current span already misses.
+    skipping blocks the current span already misses.  Masks do not depend
+    on scale, so the passengers and denominators are dropped first.
     """
     full = union_mask(items)
     order = [b for b in blocks.coords if full & b]
@@ -133,32 +193,32 @@ def support_masks(items: list[Item], blocks: Blocks) -> frozenset[int]:
             if m & bit:
                 rec(constrain(cur, bit, blocks), idx + 1)
 
-    rec(items, 0)
+    rec([Item(it.vec, it.mask, (), 1) for it in items], 0)
     return frozenset(results)
 
 
-def combine_generic(items: list[Item], blocks: Blocks) -> tuple[Vec, Vec]:
+def combine_generic(items: list[Item], blocks: Blocks) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """A deterministic element of span(items) live on the union of their
-    masks, with its passenger coordinates.
+    masks, with its passenger coordinates, as fractions.
 
     Items are added one at a time with the first multiplier alpha = 1, 2, ...
     that cancels no block already covered; trying one more alpha than there
     are blocks suffices, since each covered block rules out at most one.
     """
-    acc_v = (Fraction(0),) * len(blocks.bits)
-    acc_p = (Fraction(0),) * (len(items[0].pre) if items else 0)
-    acc_mask = 0
+    acc = Item((0,) * len(blocks.bits), 0, (0,) * (len(items[0].pre) if items else 0), 1)
     for it in items:
-        if it.mask | acc_mask == acc_mask:
+        if it.mask | acc.mask == acc.mask:
             continue
-        target = acc_mask | it.mask
+        target = acc.mask | it.mask
+        # acc + a it = (it.den acc.vec + a acc.den it.vec) / (acc.den it.den)
+        base = [x * it.den for x in acc.vec]
         for a in range(1, len(blocks.coords) + 2):
-            cand = tuple(x + a * y for x, y in zip(acc_v, it.vec))
+            step = a * acc.den
+            cand = [x + step * y for x, y in zip(base, it.vec)]
             if blocks.mask(cand) == target:
-                acc_v = cand
-                acc_p = tuple(x + a * y for x, y in zip(acc_p, it.pre))
-                acc_mask = target
+                pre = [x * it.den + step * y for x, y in zip(acc.pre, it.pre)]
+                acc = _lowest(cand, pre, acc.den * it.den, blocks)
                 break
         else:  # pragma: no cover - impossible by the counting argument
             raise AssertionError("no cancellation-free combination found")
-    return acc_v, acc_p
+    return fractions(acc.vec, acc.den), fractions(acc.pre, acc.den)

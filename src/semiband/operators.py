@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from . import linalg
@@ -28,7 +28,6 @@ from .atomic import (
     norm_value,
     support,
     support_mask,
-    vec_scale,
     zero_vector,
 )
 from .errors import (
@@ -116,8 +115,19 @@ def compose(A: Operator, B: Operator) -> Operator:
 
 
 def is_projection(T: Operator) -> bool:
-    """Whether T T = T exactly."""
-    return compose(T, T).rows == T.rows
+    """Whether T T = T exactly.
+
+    With d the lcm of the entries' denominators and A = d T an integer
+    matrix, T T = T exactly when A A = d A.
+    """
+    d = math.lcm(*(x.denominator for row in T.rows for x in row))
+    A = [[x.numerator * (d // x.denominator) for x in row] for row in T.rows]
+    cols = list(zip(*A))
+    return all(
+        sum(a * b for a, b in zip(row, col)) == d * x
+        for row in A
+        for col, x in zip(cols, row)
+    )
 
 
 class Witness(NamedTuple):
@@ -163,6 +173,45 @@ class SigmaTable:
     def is_powerset(self) -> bool:
         return len(self.masks) == 1 << bin(self.s_t_mask).count("1")
 
+    @cached_property
+    def minimal_masks(self) -> tuple[int, ...]:
+        """Nonempty members minimal under inclusion, found in popcount
+        order: a member is minimal when no minimal member kept so far lies
+        inside it (a proper subset has fewer atoms, so it came first)."""
+        mins: list[int] = []
+        for m in sorted(self.masks, key=int.bit_count):
+            for k in mins:
+                if k & m == k:
+                    break
+            else:
+                if m:
+                    mins.append(m)
+        mins.sort(key=lambda m: ((m & -m).bit_length(), m))
+        return tuple(mins)
+
+    @property
+    def is_boolean(self) -> bool:
+        """Whether the table is the Boolean algebra its minimal members
+        generate: they are pairwise disjoint, every member is a union of
+        them, and there are 2^|minimal| members.  Then it is closed under
+        union, intersection and relative complement."""
+        mins = self.minimal_masks
+        if len(self.masks) != 1 << len(mins):
+            return False
+        seen = 0
+        for k in mins:
+            if seen & k:
+                return False
+            seen |= k
+        for m in self.masks:
+            covered = 0
+            for k in mins:
+                if k & m == k:
+                    covered |= k
+            if covered != m:
+                return False
+        return True
+
     def __contains__(self, s) -> bool:
         m = s if isinstance(s, int) else s.mask
         return m in self.masks
@@ -171,6 +220,7 @@ class SigmaTable:
         return len(self.masks)
 
 
+@linalg.per_operator
 def _column_space(T: Operator) -> list[linalg.Item]:
     """Echelon items spanning the column space, each with a preimage."""
     n = T.n
@@ -178,20 +228,16 @@ def _column_space(T: Operator) -> list[linalg.Item]:
     return linalg.echelonize(columns, linalg.Blocks.atoms(n))
 
 
-@lru_cache(maxsize=None)
-def _sigma_cached(n: int, rows: tuple) -> SigmaTable:
-    items = _column_space(Operator(AtomicSpace.lp(n, 2), rows))
+@linalg.per_operator
+def enumerate_sigma(T: Operator) -> SigmaTable:
+    """All supports attained by range elements of T (kept on T)."""
+    items = _column_space(T)
     s_t = linalg.union_mask(items)
     if s_t.bit_count() > MAX_SIGMA_ATOMS:
         raise BudgetExceededError(
             f"support enumeration over {s_t.bit_count()} atoms exceeds the budget"
         )
-    return SigmaTable(n, linalg.support_masks(items, linalg.Blocks.atoms(n)), s_t)
-
-
-def enumerate_sigma(T: Operator) -> SigmaTable:
-    """All supports attained by range elements of T (memoized per matrix)."""
-    return _sigma_cached(T.n, T.rows)
+    return SigmaTable(T.n, linalg.support_masks(items, linalg.Blocks.atoms(T.n)), s_t)
 
 
 def realize_support(T: Operator, S: SupportSet) -> Vector:
@@ -216,16 +262,10 @@ def realize_support(T: Operator, S: SupportSet) -> Vector:
 def minimal_supports(sigma: SigmaTable) -> tuple[SupportSet, ...]:
     """Nonempty members of the table minimal under inclusion, ordered by
     their smallest atom (ties by bitmask)."""
-    nonempty = [m for m in sigma.masks if m]
-    mins = [
-        m
-        for m in nonempty
-        if not any(o != m and o & m == o for o in nonempty)
-    ]
-    mins.sort(key=lambda m: ((m & -m).bit_length(), m))
-    return tuple(SupportSet.from_mask(m) for m in mins)
+    return tuple(SupportSet.from_mask(m) for m in sigma.minimal_masks)
 
 
+@linalg.per_operator
 def _column_masks(T: Operator) -> list[int]:
     return [support_mask(T.column(j)) for j in range(1, T.n + 1)]
 
@@ -287,6 +327,7 @@ def is_beta(T: Operator) -> PredicateResult:
     atom k in supp(Tf).
     """
     n = T.n
+    blocks = linalg.Blocks.atoms(n)
     for k in range(1, n + 1):
         cols = [j for j in range(1, n + 1) if T.entry(k, j) != 0]
         if len(cols) < 2:
@@ -299,8 +340,8 @@ def is_beta(T: Operator) -> PredicateResult:
             b[j1 - 1] = T.entry(k, jm)
             b[jm - 1] = -T.entry(k, j1)
             bt = tuple(b)
-            items.append(linalg.Item(bt, support_mask(bt), bt))
-        g, _ = linalg.combine_generic(items, linalg.Blocks.atoms(n))
+            items.append(linalg.item(bt, bt, blocks))
+        g, _ = linalg.combine_generic(items, blocks)
         g = _canonical_integer_vector(g)
         f = basis_vector(n, j1)
         w = Witness(
@@ -313,6 +354,7 @@ def is_beta(T: Operator) -> PredicateResult:
     return PredicateResult(True)
 
 
+@linalg.per_operator
 def is_sbp(T: Operator) -> PredicateResult:
     """Semi band preserving: f disjoint from Tg forces Tf disjoint from Tg.
 
@@ -343,6 +385,7 @@ def is_sbp(T: Operator) -> PredicateResult:
     return PredicateResult(True)
 
 
+@linalg.per_operator
 def is_scp(T: Operator) -> PredicateResult:
     """Semi containment preserving: f in band(Tg) forces Tf in band(Tg).
 
@@ -383,8 +426,13 @@ class ClosureReport:
 
 def verify_sigma_closures(T: Operator, sigma: SigmaTable) -> ClosureReport:
     """Check the enumerated table for closure under pairwise union,
-    pairwise intersection, and relative complement (A within B)."""
-    if sigma.is_powerset:
+    pairwise intersection, and relative complement (A within B).
+
+    A power set, and more generally the Boolean algebra generated by the
+    minimal members, is closed under all three; any other table is
+    scanned pair by pair, and the first failing pair is the witness.
+    """
+    if sigma.is_powerset or sigma.is_boolean:
         return ClosureReport(True, True, True)
     masks = sorted(sigma.masks)
     witness = None
@@ -445,10 +493,16 @@ def replay_witness(T: Operator, w: Witness) -> bool:
         tg = apply(T, g)
         return band_contains(tg, f) and not band_contains(tg, apply(T, f))
     if w.kind == "closure-violation":
-        sigma = enumerate_sigma(T)
+        masks = enumerate_sigma(T).masks
+        a, b = support_mask(apply(T, f)), support_mask(apply(T, g))
         return (
-            support_mask(apply(T, f)) in sigma.masks
-            and support_mask(apply(T, g)) in sigma.masks
+            a in masks
+            and b in masks
+            and (
+                (a | b) not in masks
+                or (a & b) not in masks
+                or (a & b == a and (b & ~a) not in masks)
+            )
         )
     raise ValidationError(f"unknown witness kind {w.kind!r}")
 
@@ -458,9 +512,9 @@ def _rank_one_factors(T: Operator) -> tuple[Vector, Vector] | None:
     items = _column_space(T)
     if len(items) != 1:
         return None
-    u = items[0].vec
-    lead_idx = (items[0].mask & -items[0].mask).bit_length() - 1
-    u = vec_scale(1 / u[lead_idx], u)
+    it = items[0]
+    lead_idx = (it.mask & -it.mask).bit_length() - 1
+    u = linalg.fractions(it.vec, it.vec[lead_idx])
     psi = tuple(T.column(j)[lead_idx] for j in range(1, T.n + 1))
     return u, psi
 

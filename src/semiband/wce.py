@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import linalg
 from .atomic import (
     INF,
     AtomicSpace,
@@ -154,6 +155,7 @@ def averaging_form(space: AtomicSpace, partition: Sequence[SupportSet]) -> WceFo
     return make_wce(space, tuple(partition), tuple(u), tuple(psi))
 
 
+@linalg.per_operator
 def decompose_wce(T: Operator) -> WceForm | Witness:
     """Recover the weighted conditional expectation form of T.
 

@@ -1,0 +1,219 @@
+"""The integer support engine and its fast paths: golden report bytes, the
+closure and minimal-support shortcuts against their literal definitions,
+realizers over large coprime denominators, witness replay, and engine
+state built once per operator."""
+
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semiband import (
+    AtomicSpace,
+    Operator,
+    SupportSet,
+    apply,
+    enumerate_sigma,
+    make_averaging,
+    minimal_supports,
+    realize_support,
+    replay_witness,
+    verify_sigma_closures,
+)
+from semiband import linalg
+from semiband.atomic import support_mask
+from semiband.cli import main
+from semiband.interval import make_sbp_not_scp_operator
+from semiband.operators import ClosureReport, SigmaTable, Witness
+from semiband.serialize import build_analysis_report, build_interval_report, parse_operator
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ANALYZE = ["averaging3", "escape_projection", "lowrank8", "wce8", "perturbed8"]
+INTERVAL = ["half_interval_pair", "full_support_projection"]
+
+
+@pytest.mark.parametrize(
+    "cmd,name", [("analyze", n) for n in ANALYZE] + [("interval", n) for n in INTERVAL]
+)
+def test_golden_report_bytes(cmd, name, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([cmd, "--input", str(GOLDEN / f"{name}.json"), "--report", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()
+
+
+# -- random operators, n <= 8 ---------------------------------------------------
+
+SMALL = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7]))
+# large pairwise coprime denominators, so every row needs gcd reduction
+PRIMES = [10007, 65537, 999983, 2147483647]
+LARGE = st.builds(Fraction, st.integers(-(10**6), 10**6), st.sampled_from(PRIMES))
+
+
+@st.composite
+def operators(draw, entry=SMALL):
+    """Low-rank products over zero-heavy factors, WCE forms, and WCE forms
+    with one off-block entry."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["low-rank", "wce", "perturbed"]))
+    maybe_zero = st.one_of(st.just(Fraction(0)), entry)
+    if kind == "low-rank":
+        r = draw(st.integers(1, min(n, 4)))
+        U = draw(st.lists(st.lists(maybe_zero, min_size=r, max_size=r), min_size=n, max_size=n))
+        V = draw(st.lists(st.lists(maybe_zero, min_size=n, max_size=n), min_size=r, max_size=r))
+        rows = [[sum(U[i][k] * V[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+    else:
+        # block of each atom, -1 for atoms outside every block
+        label = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for b in set(label) - {-1}:
+            atoms = [i for i in range(n) if label[i] == b]
+            u = draw(st.lists(entry.filter(bool), min_size=len(atoms), max_size=len(atoms)))
+            psi = draw(st.lists(maybe_zero, min_size=len(atoms), max_size=len(atoms)))
+            for i, ui in zip(atoms, u):
+                for j, pj in zip(atoms, psi):
+                    rows[i][j] = ui * pj
+        off = [(i, j) for i in range(n) for j in range(n) if label[i] == -1 or label[i] != label[j]]
+        if kind == "perturbed" and off:
+            i, j = draw(st.sampled_from(off))
+            rows[i][j] = draw(entry.filter(bool))
+    return Operator.from_rows(AtomicSpace.lp(n, 2), rows)
+
+
+def quadratic_closures(T, sigma) -> ClosureReport:
+    """Every pair scanned for union and intersection, every nested pair for
+    relative complement; the first failing pair is the witness."""
+    masks = sorted(sigma.masks)
+    found = []
+
+    def scan(pairs, law, result):
+        for a, b in pairs:
+            missing = result(a, b)
+            if missing is not None and missing not in sigma.masks:
+                found.append((a, b, law, missing))
+                return False
+        return True
+
+    upper = [(a, b) for i, a in enumerate(masks) for b in masks[i:]]
+    union = scan(upper, "union", lambda a, b: a | b)
+    inter = scan(upper, "intersection", lambda a, b: a & b)
+    nested = [(a, b) for a in masks for b in masks]
+    compl = scan(nested, "relative complement", lambda a, b: b & ~a if a & b == a else None)
+    witness = None
+    if found:
+        a, b, law, missing = found[0]
+        witness = Witness(
+            "closure-violation",
+            realize_support(T, SupportSet.from_mask(a)),
+            realize_support(T, SupportSet.from_mask(b)),
+            f"{law} of {SupportSet.from_mask(a)!r} and {SupportSet.from_mask(b)!r} "
+            f"misses {SupportSet.from_mask(missing)!r}",
+        )
+    return ClosureReport(union, inter, compl, witness)
+
+
+@settings(max_examples=80)
+@given(operators())
+def test_closures_equal_quadratic_scan(T):
+    sigma = enumerate_sigma(T)
+    rep = verify_sigma_closures(T, sigma)
+    assert rep == quadratic_closures(T, sigma)
+    if rep.witness is not None:
+        assert replay_witness(T, rep.witness)
+
+
+@settings(max_examples=80)
+@given(operators())
+def test_minimal_supports_literal(T):
+    sigma = enumerate_sigma(T)
+    nonempty = [m for m in sigma.masks if m]
+    literal = [m for m in nonempty if not any(o != m and o & m == o for o in nonempty)]
+    literal.sort(key=lambda m: (min(SupportSet.from_mask(m).atoms), m))
+    assert minimal_supports(sigma) == tuple(SupportSet.from_mask(m) for m in literal)
+
+
+@settings(max_examples=40)
+@given(operators(entry=LARGE))
+def test_realizers_over_large_denominators(T):
+    for m in enumerate_sigma(T).masks:
+        g = realize_support(T, SupportSet.from_mask(m))
+        assert support_mask(apply(T, g)) == m
+
+
+def test_item_and_elimination_stay_in_lowest_terms():
+    blocks = linalg.Blocks.atoms(3)
+    a = linalg.item((Fraction(-1, 10007), Fraction(2, 65537), 0), (1,), blocks)
+    assert a.den == 10007 * 65537 and a.vec == (-65537, 2 * 10007, 0) and a.mask == 0b011
+    b = linalg.item((Fraction(3, 65537), 0, Fraction(5, 7)), (0,), blocks)
+    (c,) = linalg.constrain([a, b], 0b001, blocks)
+    # b - (b[0] / a[0]) a, as fractions; the negative pivot entry makes the
+    # cross-multiplied denominator negative before normalisation
+    r = Fraction(3, 65537) / Fraction(-1, 10007)
+    want = [Fraction(x, b.den) - r * Fraction(y, a.den) for x, y in zip(b.vec + b.pre, a.vec + a.pre)]
+    assert linalg.fractions(c.vec + c.pre, c.den) == tuple(want)
+    assert c.den > 0 and math.gcd(*c.vec, *c.pre, c.den) == 1
+
+
+def test_boolean_shortcut_on_every_family_of_three_atoms():
+    # is_boolean must hold exactly for the families (with the empty set)
+    # closed under union, intersection and relative complement, whether or
+    # not they are the support table of any operator
+    subsets = range(1, 8)
+    for pick in range(1 << 7):
+        masks = frozenset([0] + [m for i, m in enumerate(subsets) if pick >> i & 1])
+        s_t = 0
+        for m in masks:
+            s_t |= m
+        closed = all(
+            a | b in masks and a & b in masks and (a & b != a or b & ~a in masks)
+            for a in masks
+            for b in masks
+        )
+        assert SigmaTable(3, masks, s_t).is_boolean == closed, sorted(masks)
+
+
+def test_forged_closure_witness_does_not_replay():
+    M = make_averaging(3, [SupportSet.of(1, 2), SupportSet.of(3)])
+    f12 = realize_support(M, SupportSet.of(1, 2))
+    g3 = realize_support(M, SupportSet.of(3))
+    g123 = realize_support(M, SupportSet.of(1, 2, 3))
+    # both supports are tabulated and every law holds for the pair
+    for f, g in ((f12, g3), (f12, g123), (g3, g123)):
+        assert not replay_witness(M, Witness("closure-violation", f, g, "forged"))
+
+
+def test_closure_witness_replays_golden():
+    T = parse_operator(json.loads((GOLDEN / "lowrank8.json").read_text()))
+    rep = verify_sigma_closures(T, enumerate_sigma(T))
+    assert not rep.intersection and rep.witness is not None
+    assert replay_witness(T, rep.witness)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(linalg, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def test_engine_state_built_once_per_operator(monkeypatch):
+    ech = _counting(monkeypatch, "echelonize")
+    masks = _counting(monkeypatch, "support_masks")
+    rows = [[1, 0, 2, 0], [0, 1, 0, 0], [1, 1, 2, 0], [0, 0, 0, 3]]
+    for space in (AtomicSpace.lp(4, 2), AtomicSpace.lp(4, Fraction(3, 2))):
+        T = Operator.from_rows(space, rows)
+        build_analysis_report(T)
+        build_analysis_report(T)
+        assert (len(ech), len(masks)) == (1, 1)
+        ech.clear()
+        masks.clear()
+    build_interval_report(make_sbp_not_scp_operator())
+    assert (len(ech), len(masks)) == (1, 1)

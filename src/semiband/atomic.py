@@ -16,11 +16,9 @@ from .errors import DimensionMismatchError, ValidationError
 from .values import (
     ExactValue,
     IntervalValue,
-    SqrtValue,
     TARGET_WIDTH,
     Value,
     pow_enclosure,
-    root_enclosure,
     sqrt_value,
 )
 
@@ -179,21 +177,22 @@ def band_contains(g: Vector, f: Vector) -> bool:
     return all(b != 0 or a == 0 for a, b in zip(f, g))
 
 
-def _general_p_norm(p: Fraction, terms: list[tuple[Fraction, Fraction]]) -> Value:
-    """Certified enclosure of (sum w*|x|^p)^(1/p); terms are (weight, |x|)."""
-    if not terms:
-        return ExactValue(Fraction(0))
-    width = TARGET_WIDTH / (4 * len(terms))
+def _general_p_norm(
+    p: Fraction, terms: list[tuple[Fraction, Fraction]], weight_exp: Fraction, width: Fraction
+) -> Value:
+    """Certified enclosure of (sum w**weight_exp * |x|**p)^(1/p); terms are
+    (w, |x|) with x nonzero, and ``width`` is the first enclosure width of
+    each power, divided by 2**10 until the result is narrow enough."""
     for _ in range(6):
         lo = Fraction(0)
         hi = Fraction(0)
         for w, x in terms:
+            wl, wh = pow_enclosure(w, weight_exp, width)
             tl, th = pow_enclosure(x, p, width)
-            lo += w * tl
-            hi += w * th
-        inv = 1 / p
-        rl, _ = pow_enclosure(lo, inv, width) if lo > 0 else (Fraction(0), Fraction(0))
-        _, rh = pow_enclosure(hi, inv, width)
+            lo += wl * tl
+            hi += wh * th
+        rl, _ = pow_enclosure(lo, 1 / p, width) if lo > 0 else (Fraction(0), Fraction(0))
+        _, rh = pow_enclosure(hi, 1 / p, width)
         if rh - rl <= TARGET_WIDTH:
             if rl == rh:
                 return ExactValue(rl)
@@ -225,7 +224,8 @@ def norm_value(space: AtomicSpace, v: Vector, side: str = "primal") -> Value:
             return ExactValue(sum(wi * x for wi, x in zip(w, absv)))
         if p == 2:
             return sqrt_value(sum(wi * x * x for wi, x in zip(w, absv)))
-        return _general_p_norm(p, [(wi, x) for wi, x in zip(w, absv) if x != 0])
+        terms = [(wi, x) for wi, x in zip(w, absv) if x != 0]
+        return _general_p_norm(p, terms, Fraction(1), TARGET_WIDTH / (4 * len(terms)))
 
     # dual side
     if p == 1:
@@ -234,28 +234,11 @@ def norm_value(space: AtomicSpace, v: Vector, side: str = "primal") -> Value:
         return ExactValue(sum(x / wi for wi, x in zip(w, absv)))
     if p == 2:
         return sqrt_value(sum(x * x / wi for wi, x in zip(w, absv)))
+    # the conjugate exponent q with dual weights w**(1-q), irrational in
+    # general, so enclosed alongside the powers
     q = p / (p - 1)
-    # dual weight w**(1-q) is irrational in general; fold it into the term
-    # enclosure: w**(1-q) * x**q, summed, then the q-th root.
-    width = TARGET_WIDTH / (4 * len(absv))
-    for _ in range(6):
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for wi, x in zip(w, absv):
-            if x == 0:
-                continue
-            wl, wh = pow_enclosure(wi, 1 - q, width)
-            xl, xh = pow_enclosure(x, q, width)
-            lo += wl * xl
-            hi += wh * xh
-        rl, _ = pow_enclosure(lo, 1 / q, width) if lo > 0 else (Fraction(0), Fraction(0))
-        _, rh = pow_enclosure(hi, 1 / q, width)
-        if rh - rl <= TARGET_WIDTH:
-            if rl == rh:
-                return ExactValue(rl)
-            return IntervalValue(rl, rh)
-        width /= 2**10
-    raise AssertionError("enclosure refinement failed to converge")
+    terms = [(wi, x) for wi, x in zip(w, absv) if x != 0]
+    return _general_p_norm(q, terms, 1 - q, TARGET_WIDTH / (4 * len(absv)))
 
 
 @dataclass(frozen=True)

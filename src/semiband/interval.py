@@ -22,8 +22,6 @@ from .errors import (
 
 MAX_DEGREE = 16
 MAX_PIECES = 64
-#: cap on pieces entering the subset enumeration (2**k feasibility probes)
-MAX_ENUM_PIECES = 20
 
 Poly = tuple[Fraction, ...]  # coefficients in ascending powers of t, stripped
 
@@ -370,63 +368,13 @@ def nullspace(rows: list[tuple[Fraction, ...]], ncols: int) -> list[tuple[Fracti
     return basis
 
 
-def _orthogonal_complement(basis: list[tuple[Fraction, ...]], dim: int) -> list[tuple[Fraction, ...]]:
-    if not basis:
-        ident = []
-        for i in range(dim):
-            v = [Fraction(0)] * dim
-            v[i] = Fraction(1)
-            ident.append(tuple(v))
-        return ident
-    return nullspace(basis, dim)
-
-
 # -- achievable supports and the two semi-preservation decisions -----------
 
 
-class _Layout(NamedTuple):
-    segs: list[tuple[Fraction, Fraction]]          # common refinement pieces
-    kernel_degrees: list[int]                      # max kernel degree per piece, -1 if none
-    moment_basis: list[tuple[Fraction, ...]]       # basis of attainable moment vectors
-    range_polys: list[list[Poly]]                  # per basis vector, poly per piece
-
-
-def _kernel_constraint_rows(
-    T: FiniteRankOp, segs: list[tuple[Fraction, Fraction]], active: Iterable[int]
-) -> list[tuple[Fraction, ...]]:
-    rows = []
-    m = len(T.terms)
-    for idx in active:
-        lo, _ = segs[idx]
-        polys = [w.poly_at(lo) for w, _ in T.terms]
-        deg = max((len(p) for p in polys), default=0)
-        for d in range(deg):
-            rows.append(tuple(polys[k][d] if d < len(polys[k]) else Fraction(0) for k in range(m)))
-    return rows
-
-
 @linalg.per_operator
-def _layout(T: FiniteRankOp) -> _Layout:
-    fs = [w for w, _ in T.terms] + [phi for _, phi in T.terms]
-    segs = _refine(fs) if fs else [(Fraction(0), Fraction(1))]
-    kernel_degrees = []
-    for lo, _ in segs:
-        degs = [len(w.poly_at(lo)) - 1 for w, _ in T.terms if w.poly_at(lo)]
-        kernel_degrees.append(max(degs) if degs else -1)
-    # attainable moment vectors: orthogonal complement of the kernel-side
-    # dependencies over the whole interval
-    m = len(T.terms)
-    krows = _kernel_constraint_rows(T, segs, range(len(segs)))
-    dependencies = nullspace(krows, m) if m else []
-    moment_basis = _orthogonal_complement(dependencies, m)
-    phis = _image_polys(T, segs)
-    range_polys = [[_combine(c, polys) for polys in phis] for c in moment_basis]
-    return _Layout(segs, kernel_degrees, moment_basis, range_polys)
-
-
-def _image_polys(T: FiniteRankOp, segs: list[tuple[Fraction, Fraction]]) -> list[list[Poly]]:
-    """The polynomials of phi_1, phi_2, ... on each piece."""
-    return [[phi.poly_at(lo) for _, phi in T.terms] for lo, _ in segs]
+def _segments(T: FiniteRankOp) -> list[tuple[Fraction, Fraction]]:
+    """The pieces of the common refinement of all kernels and images."""
+    return _refine([w for w, _ in T.terms] + [phi for _, phi in T.terms])
 
 
 def _combine(coeffs: Sequence[Fraction], polys: list[Poly]) -> Poly:
@@ -459,20 +407,7 @@ def frop_image_subspace(T: FiniteRankOp, region: IntervalRegion) -> list[tuple[F
         deg = max((len(p) for p in polys), default=0)
         for d in range(deg):
             rows.append(tuple(polys[k][d] if d < len(polys[k]) else Fraction(0) for k in range(m)))
-    vanishing = nullspace(rows, m)
-    comp = _orthogonal_complement(vanishing, m)
-    # intersect with the globally attainable moment space
-    layout = _layout(T)
-    if len(layout.moment_basis) == m:
-        return comp
-    return _intersect_spans(layout.moment_basis, comp, m)
-
-
-def _intersect_spans(a: list[tuple], b: list[tuple], dim: int) -> list[tuple[Fraction, ...]]:
-    """Intersection of two spans via orthogonal complements."""
-    ca = _orthogonal_complement(a, dim)
-    cb = _orthogonal_complement(b, dim)
-    return _orthogonal_complement(ca + cb, dim)
+    return nullspace(nullspace(rows, m), m)
 
 
 def _piece_coordinates(
@@ -494,15 +429,11 @@ def _piece_coordinates(
 
 @linalg.per_operator
 def _range_enumeration(T: FiniteRankOp) -> tuple[list[tuple[Fraction, Fraction]], frozenset[int]]:
-    """All piece-masks of supports attainable by range elements."""
-    layout = _layout(T)
-    blocks, vecs = _piece_coordinates(layout.range_polys, len(layout.segs))
-    if len(blocks.coords) > MAX_ENUM_PIECES:
-        raise BudgetExceededError(
-            f"{len(blocks.coords)} active pieces exceed the enumeration budget of {MAX_ENUM_PIECES}"
-        )
-    items = linalg.echelonize(((v, ()) for v in vecs), blocks)
-    return layout.segs, linalg.support_masks(items, blocks)
+    """All piece-masks of supports attained by range elements; the range
+    is the span of the bump images."""
+    bumps, blocks = _bumps(T)
+    items = linalg.echelonize(((b.image, ()) for b in bumps), blocks)
+    return _segments(T), linalg.support_masks(items, blocks)
 
 
 def _mask_region(segs, mask: int) -> IntervalRegion:
@@ -527,16 +458,17 @@ class _Bump(NamedTuple):
 def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
     """Monomial bumps t^d on every kernel-active piece, with their images:
     t^d on [lo, hi) maps to sum_k (int_lo^hi w_k t^d) phi_k."""
-    layout = _layout(T)
-    phis = _image_polys(T, layout.segs)
+    segs = _segments(T)
+    phis = [[phi.poly_at(lo) for _, phi in T.terms] for lo, _ in segs]
     raw, images = [], []
-    for pi, (lo, hi) in enumerate(layout.segs):
-        for d in range(layout.kernel_degrees[pi] + 1):
+    for pi, (lo, hi) in enumerate(segs):
+        kernels = [w.poly_at(lo) for w, _ in T.terms]
+        for d in range(max(map(len, kernels), default=0)):
             mono = (Fraction(0),) * d + (Fraction(1),)
-            moments = [poly_integral(poly_mul(w.poly_at(lo), mono), lo, hi) for w, _ in T.terms]
+            moments = [poly_integral(poly_mul(k, mono), lo, hi) for k in kernels]
             raw.append((pi, PiecewisePoly.on_interval(lo, hi, mono)))
             images.append([_combine(moments, polys) for polys in phis])
-    blocks, vecs = _piece_coordinates(images, len(layout.segs))
+    blocks, vecs = _piece_coordinates(images, len(segs))
     bumps = [_Bump(pi, b, v, blocks.mask(v)) for (pi, b), v in zip(raw, vecs)]
     return bumps, blocks
 
@@ -592,6 +524,18 @@ class FropCheck:
         return self.holds
 
 
+def _first_bump_violation(T: FiniteRankOp, inside: bool) -> tuple[_Bump, PiecewisePoly] | None:
+    """(bump, g) for the first support S = supp(Tg) and bump that break
+    the semi law ``linalg.first_violation`` names by ``inside``."""
+    segs, masks = _range_enumeration(T)
+    bumps, _ = _bumps(T)
+    hit = linalg.first_violation(masks, [(1 << b.piece, b.mask) for b in bumps], inside)
+    if hit is None:
+        return None
+    mask, k = hit
+    return bumps[k], realize_range_support(T, _mask_region(segs, mask))
+
+
 def frop_is_sbp(T: FiniteRankOp) -> FropCheck:
     """Semi band preserving, decided universally (no sampling).
 
@@ -599,44 +543,28 @@ def frop_is_sbp(T: FiniteRankOp) -> FropCheck:
     have an image vanishing a.e. on S; linearity in the moment vector makes
     checking monomial bumps complete.
     """
-    segs, masks = _range_enumeration(T)
-    bumps, _ = _bumps(T)
-    for mask in sorted(masks):
-        if mask == 0:
-            continue
-        for b in bumps:
-            if not mask >> b.piece & 1 and b.mask & mask:
-                g = realize_range_support(T, _mask_region(segs, mask))
-                w = FropWitness(
-                    "SBP-violation",
-                    b.f,
-                    g,
-                    f"bump on piece {segs[b.piece]} is disjoint from supp(Tg) "
-                    f"yet its image meets it",
-                )
-                return FropCheck(False, w)
-    return FropCheck(True)
+    hit = _first_bump_violation(T, inside=False)
+    if hit is None:
+        return FropCheck(True)
+    b, g = hit
+    note = (
+        f"bump on piece {_segments(T)[b.piece]} is disjoint from supp(Tg) "
+        f"yet its image meets it"
+    )
+    return FropCheck(False, FropWitness("SBP-violation", b.f, g, note))
 
 
 def frop_is_scp(T: FiniteRankOp) -> FropCheck:
     """Semi containment preserving, decided universally."""
-    segs, masks = _range_enumeration(T)
-    bumps, _ = _bumps(T)
-    for mask in sorted(masks):
-        if mask == 0:
-            continue
-        for b in bumps:
-            if mask >> b.piece & 1 and b.mask & ~mask:
-                g = realize_range_support(T, _mask_region(segs, mask))
-                w = FropWitness(
-                    "SCP-violation",
-                    b.f,
-                    g,
-                    f"bump on piece {segs[b.piece]} lies in the band of Tg "
-                    f"yet its image escapes supp(Tg)",
-                )
-                return FropCheck(False, w)
-    return FropCheck(True)
+    hit = _first_bump_violation(T, inside=True)
+    if hit is None:
+        return FropCheck(True)
+    b, g = hit
+    note = (
+        f"bump on piece {_segments(T)[b.piece]} lies in the band of Tg "
+        f"yet its image escapes supp(Tg)"
+    )
+    return FropCheck(False, FropWitness("SCP-violation", b.f, g, note))
 
 
 def replay_frop_witness(T: FiniteRankOp, w: FropWitness) -> bool:

@@ -26,6 +26,12 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .errors import BudgetExceededError
+
+#: Most live blocks (atoms or pieces) a range may have for its supports to
+#: be enumerated: up to 2**20 feasibility probes.
+MAX_SUPPORT_BLOCKS = 20
+
 
 def per_operator(fn: Callable) -> Callable:
     """Keep ``fn(T)`` on the operator ``T`` itself, so each part of the
@@ -169,9 +175,15 @@ def support_masks(items: list[Item], blocks: Blocks) -> frozenset[int]:
     vector on them, so every set of live blocks is a support.  Otherwise
     the sets are found by constraining blocks in ascending bit order,
     skipping blocks the current span already misses.  Masks do not depend
-    on scale, so the passengers and denominators are dropped first.
+    on scale, so the passengers and denominators are dropped first.  A span
+    live on more than ``MAX_SUPPORT_BLOCKS`` blocks is refused.
     """
     full = union_mask(items)
+    if full.bit_count() > MAX_SUPPORT_BLOCKS:
+        raise BudgetExceededError(
+            f"support enumeration over {full.bit_count()} live blocks exceeds "
+            f"the budget of {MAX_SUPPORT_BLOCKS}"
+        )
     order = [b for b in blocks.coords if full & b]
     live = 0
     for it in items:
@@ -195,6 +207,26 @@ def support_masks(items: list[Item], blocks: Blocks) -> frozenset[int]:
 
     rec([Item(it.vec, it.mask, (), 1) for it in items], 0)
     return frozenset(results)
+
+
+def first_violation(
+    masks: Iterable[int], sources: Sequence[tuple[int, int]], inside: bool
+) -> tuple[int, int] | None:
+    """The first support S (ascending) and source index k breaking a semi law.
+
+    A source is ``(bit, image)``: the block an input lives on and the mask
+    of its image.  With ``inside`` false this is semi band preservation, an
+    input off S must have an image off S; with ``inside`` true it is semi
+    containment, an input in S must have an image in S.  Linearity and the
+    union bound on supports make the sources, one per spanning input, a
+    complete test.
+    """
+    for s in sorted(masks):
+        breach = ~s if inside else s
+        for k, (bit, image) in enumerate(sources):
+            if (bit & s != 0) == inside and image & breach:
+                return s, k
+    return None
 
 
 def combine_generic(items: list[Item], blocks: Blocks) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

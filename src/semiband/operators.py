@@ -26,20 +26,15 @@ from .atomic import (
     band_contains,
     is_disjoint,
     norm_value,
-    support,
     support_mask,
     zero_vector,
 )
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     UnachievableSupportError,
     ValidationError,
 )
-from .values import ExactValue, IntervalValue, Value, multiply, sqrt_value, value_max
-
-#: Hard cap for the subset-enumeration core (2**n feasibility probes).
-MAX_SIGMA_ATOMS = 20
+from .values import ExactValue, IntervalValue, Value, multiply, sqrt_value
 
 
 @dataclass(frozen=True)
@@ -232,12 +227,8 @@ def _column_space(T: Operator) -> list[linalg.Item]:
 def enumerate_sigma(T: Operator) -> SigmaTable:
     """All supports attained by range elements of T (kept on T)."""
     items = _column_space(T)
-    s_t = linalg.union_mask(items)
-    if s_t.bit_count() > MAX_SIGMA_ATOMS:
-        raise BudgetExceededError(
-            f"support enumeration over {s_t.bit_count()} atoms exceeds the budget"
-        )
-    return SigmaTable(T.n, linalg.support_masks(items, linalg.Blocks.atoms(T.n)), s_t)
+    masks = linalg.support_masks(items, linalg.Blocks.atoms(T.n))
+    return SigmaTable(T.n, masks, linalg.union_mask(items))
 
 
 def realize_support(T: Operator, S: SupportSet) -> Vector:
@@ -354,6 +345,17 @@ def is_beta(T: Operator) -> PredicateResult:
     return PredicateResult(True)
 
 
+def _first_atom_violation(T: Operator, inside: bool) -> tuple[int, Vector] | None:
+    """(i, g) for the first support S = supp(Tg) and atom i that break the
+    semi law ``linalg.first_violation`` names by ``inside``."""
+    sources = [(1 << j, m) for j, m in enumerate(_column_masks(T))]
+    hit = linalg.first_violation(enumerate_sigma(T).masks, sources, inside)
+    if hit is None:
+        return None
+    s_mask, j = hit
+    return j + 1, realize_support(T, SupportSet.from_mask(s_mask))
+
+
 @linalg.per_operator
 def is_sbp(T: Operator) -> PredicateResult:
     """Semi band preserving: f disjoint from Tg forces Tf disjoint from Tg.
@@ -362,27 +364,12 @@ def is_sbp(T: Operator) -> PredicateResult:
     the column T e_i must avoid S (necessity with f = e_i; sufficiency by
     linearity and the union bound on supports).
     """
-    n = T.n
-    sigma = enumerate_sigma(T)
-    col_masks = _column_masks(T)
-    full = (1 << n) - 1
-    for s_mask in sorted(sigma.masks):
-        outside = full & ~s_mask
-        i = 1
-        m = outside
-        while m:
-            if m & 1 and col_masks[i - 1] & s_mask:
-                g = realize_support(T, SupportSet.from_mask(s_mask))
-                w = Witness(
-                    "SBP-violation",
-                    basis_vector(n, i),
-                    g,
-                    f"atom {i} lies off supp(Tg) but T e_{i} meets it",
-                )
-                return PredicateResult(False, w)
-            m >>= 1
-            i += 1
-    return PredicateResult(True)
+    hit = _first_atom_violation(T, inside=False)
+    if hit is None:
+        return PredicateResult(True)
+    i, g = hit
+    note = f"atom {i} lies off supp(Tg) but T e_{i} meets it"
+    return PredicateResult(False, Witness("SBP-violation", basis_vector(T.n, i), g, note))
 
 
 @linalg.per_operator
@@ -392,25 +379,12 @@ def is_scp(T: Operator) -> PredicateResult:
     Reduction: for every achievable support S and every atom i inside S,
     the column T e_i must stay inside S.
     """
-    n = T.n
-    sigma = enumerate_sigma(T)
-    col_masks = _column_masks(T)
-    for s_mask in sorted(sigma.masks):
-        i = 1
-        m = s_mask
-        while m:
-            if m & 1 and col_masks[i - 1] & ~s_mask:
-                g = realize_support(T, SupportSet.from_mask(s_mask))
-                w = Witness(
-                    "SCP-violation",
-                    basis_vector(n, i),
-                    g,
-                    f"atom {i} lies in supp(Tg) but T e_{i} escapes it",
-                )
-                return PredicateResult(False, w)
-            m >>= 1
-            i += 1
-    return PredicateResult(True)
+    hit = _first_atom_violation(T, inside=True)
+    if hit is None:
+        return PredicateResult(True)
+    i, g = hit
+    note = f"atom {i} lies in supp(Tg) but T e_{i} escapes it"
+    return PredicateResult(False, Witness("SCP-violation", basis_vector(T.n, i), g, note))
 
 
 @dataclass(frozen=True)
@@ -428,9 +402,11 @@ def verify_sigma_closures(T: Operator, sigma: SigmaTable) -> ClosureReport:
     """Check the enumerated table for closure under pairwise union,
     pairwise intersection, and relative complement (A within B).
 
-    A power set, and more generally the Boolean algebra generated by the
-    minimal members, is closed under all three; any other table is
-    scanned pair by pair, and the first failing pair is the witness.
+    Union always holds: for range elements f and g, supp(f + a g) is
+    supp f | supp g for all but finitely many scalars a.  A power set, and
+    more generally the Boolean algebra generated by the minimal members, is
+    closed under the other two laws as well; any other table is scanned
+    pair by pair, and the first failing pair is the witness.
     """
     if sigma.is_powerset or sigma.is_boolean:
         return ClosureReport(True, True, True)
@@ -446,21 +422,12 @@ def verify_sigma_closures(T: Operator, sigma: SigmaTable) -> ClosureReport:
             f"misses {SupportSet.from_mask(missing)!r}",
         )
 
-    union_ok = True
-    for ai, a in enumerate(masks):
-        for b in masks[ai:]:
-            if (a | b) not in sigma.masks:
-                union_ok = False
-                witness = witness or make_witness(a, b, "union", a | b)
-                break
-        if not union_ok:
-            break
     inter_ok = True
     for ai, a in enumerate(masks):
         for b in masks[ai:]:
             if (a & b) not in sigma.masks:
                 inter_ok = False
-                witness = witness or make_witness(a, b, "intersection", a & b)
+                witness = make_witness(a, b, "intersection", a & b)
                 break
         if not inter_ok:
             break
@@ -473,7 +440,7 @@ def verify_sigma_closures(T: Operator, sigma: SigmaTable) -> ClosureReport:
                 break
         if not compl_ok:
             break
-    return ClosureReport(union_ok, inter_ok, compl_ok, witness)
+    return ClosureReport(True, inter_ok, compl_ok, witness)
 
 
 def replay_witness(T: Operator, w: Witness) -> bool:
@@ -522,9 +489,10 @@ def _rank_one_factors(T: Operator) -> tuple[Vector, Vector] | None:
 def operator_norm(space: AtomicSpace, T: Operator) -> Value:
     """The induced operator norm on the given space.
 
-    Exact for p in {1, inf} (weighted column / row formulas), exact by
-    squares for rank-one and block-decomposable operators, otherwise a
-    certified lower/upper interval.
+    Exact for p in {1, inf} (weighted column / row formulas).  At p = 2 an
+    exact square for rank-one and block-decomposable operators, and for
+    any other matrix a certified interval up to the Frobenius bound.  At
+    any other p a certified enclosure.
     """
     if space.n != T.n:
         raise DimensionMismatchError("space and operator dimensions differ")
@@ -551,14 +519,11 @@ def operator_norm(space: AtomicSpace, T: Operator) -> Value:
     if factors is not None:
         u, psi = factors
         return multiply(norm_value(space, psi, "dual"), norm_value(space, u, "primal"))
-    from .wce import WceForm, decompose_wce  # late import; wce builds on this module
+    from .wce import WceForm, decompose_wce, wce_operator_norm  # wce builds on this module
 
     decomp = decompose_wce(T)
     if isinstance(decomp, WceForm):
-        return value_max(
-            multiply(norm_value(space, ps, "dual"), norm_value(space, uu, "primal"))
-            for uu, ps in zip(decomp.u, decomp.psi)
-        )
+        return wce_operator_norm(space, decomp)
     # certified bounds: columns give lower bounds, the triangle/Holder
     # estimate ||Tx|| <= sum |x_j| ||T e_j|| gives an upper bound.
     lo = Fraction(0)

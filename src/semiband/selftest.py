@@ -26,7 +26,6 @@ from .interval import (
 from .operators import (
     Operator,
     Witness,
-    apply,
     enumerate_sigma,
     is_projection,
     is_sbp,

@@ -111,6 +111,11 @@ def support_to_json(s: SupportSet) -> list[int]:
     return sorted(s.atoms)
 
 
+def mask_to_json(m: int) -> list[int]:
+    """The atoms of a bitmask support, ascending."""
+    return [i + 1 for i in range(m.bit_length()) if m >> i & 1]
+
+
 def witness_to_json(w: Witness) -> dict:
     return {
         "kind": w.kind,
@@ -278,8 +283,8 @@ def build_analysis_report(T: Operator) -> dict:
         "input": operator_to_json(T),
         "predicates": preds,
         "sigma": {
-            "s_t": support_to_json(sigma.s_t),
-            "supports": [support_to_json(s) for s in sigma.supports],
+            "s_t": mask_to_json(sigma.s_t_mask),
+            "supports": [mask_to_json(m) for m in sorted(sigma.masks)],
         },
         "minimal_supports": [support_to_json(s) for s in minimal_supports(sigma)],
         "closures": closure_entry,

@@ -32,7 +32,6 @@ from .atomic import (
 from .errors import IndeterminateComparisonError, InternalConsistencyError, ValidationError
 from .operators import (
     Operator,
-    PredicateResult,
     Witness,
     apply,
     enumerate_sigma,

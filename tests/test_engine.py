@@ -1,8 +1,10 @@
 """The integer support engine and its fast paths: golden report bytes, the
-closure and minimal-support shortcuts against their literal definitions,
-realizers over large coprime denominators, witness replay, and engine
-state built once per operator."""
+closure and minimal-support shortcuts and the SBP/SCP scan against their
+literal definitions, realizers over large coprime denominators, witness
+replay, the shared enumeration budget, engine state built once per
+operator, and oracles that stay independent of the engine."""
 
+import ast
 import json
 import math
 from fractions import Fraction
@@ -24,7 +26,7 @@ from semiband import (
     replay_witness,
     verify_sigma_closures,
 )
-from semiband import linalg
+from semiband import BudgetExceededError, linalg
 from semiband.atomic import support_mask
 from semiband.cli import main
 from semiband.interval import make_sbp_not_scp_operator
@@ -32,8 +34,8 @@ from semiband.operators import ClosureReport, SigmaTable, Witness
 from semiband.serialize import build_analysis_report, build_interval_report, parse_operator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-ANALYZE = ["averaging3", "escape_projection", "lowrank8", "wce8", "perturbed8"]
-INTERVAL = ["half_interval_pair", "full_support_projection"]
+ANALYZE = ["averaging3", "escape_projection", "lowrank8", "wce8", "perturbed8", "wce8_p32"]
+INTERVAL = ["half_interval_pair", "full_support_projection", "leak8", "dense8"]
 
 
 @pytest.mark.parametrize(
@@ -217,3 +219,76 @@ def test_engine_state_built_once_per_operator(monkeypatch):
         masks.clear()
     build_interval_report(make_sbp_not_scp_operator())
     assert (len(ech), len(masks)) == (1, 1)
+
+
+# -- the one SBP/SCP scan ---------------------------------------------------------
+
+BLOCK_BITS = st.sampled_from([1 << i for i in range(6)])
+
+
+@settings(max_examples=200)
+@given(
+    masks=st.frozensets(st.integers(0, 63), max_size=12),
+    sources=st.lists(st.tuples(BLOCK_BITS, st.integers(0, 63)), max_size=8),
+    inside=st.booleans(),
+)
+def test_first_violation_is_the_literal_law(masks, sources, inside):
+    # a source (supp f, supp Tf) against S = supp Tg.  Semi band: f disjoint
+    # from Tg forces Tf disjoint from Tg.  Semi containment: f in the band
+    # of Tg forces Tf in it.
+    def breaks(s, f, tf):
+        if inside:
+            return f & s == f and tf & s != tf
+        return f & s == 0 and tf & s != 0
+
+    hits = [(s, k) for s in sorted(masks) for k, (f, tf) in enumerate(sources) if breaks(s, f, tf)]
+    assert linalg.first_violation(masks, sources, inside) == (hits[0] if hits else None)
+
+
+# -- one enumeration budget for both models ----------------------------------------
+
+
+def _stairs_frop(pieces: int) -> dict:
+    """A rank-one interval operator file whose image is live on every piece."""
+    def pw(coeffs):
+        return {
+            "pieces": [
+                {"from": str(Fraction(i, pieces)), "to": str(Fraction(i + 1, pieces)), "coeffs": [str(c)]}
+                for i, c in enumerate(coeffs)
+            ]
+        }
+
+    return {"schema": 1, "terms": [{"kernel": pw([1] * pieces), "image": pw(range(1, pieces + 1))}]}
+
+
+@pytest.mark.parametrize("pieces,code", [(20, 0), (21, 3)])
+def test_interval_budget_counts_live_pieces(pieces, code, tmp_path):
+    f = tmp_path / "stairs.json"
+    f.write_text(json.dumps(_stairs_frop(pieces)))
+    assert main(["interval", "--input", str(f), "--report", str(tmp_path / "r.json")]) == code
+
+
+def test_atomic_budget_counts_live_atoms():
+    n = 21
+    live = [[Fraction(1) if j == 0 and i < 20 else Fraction(0) for j in range(n)] for i in range(n)]
+    assert len(enumerate_sigma(Operator.from_rows(AtomicSpace.lp(n, 2), live))) == 2
+    live[20][0] = Fraction(1)
+    with pytest.raises(BudgetExceededError):
+        enumerate_sigma(Operator.from_rows(AtomicSpace.lp(n, 2), live))
+
+
+# -- the oracles check the engine, so they must not use it --------------------------
+
+
+def test_oracles_do_not_import_the_engine():
+    src = Path(__file__).resolve().parent.parent / "src" / "semiband" / "oracles.py"
+    engine = []
+    for node in ast.walk(ast.parse(src.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("semiband")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("semiband")):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        engine += [name for name in names if "linalg" in name.split(".")]
+    assert not engine

@@ -121,6 +121,10 @@ def cmd_selftest(args) -> int:
 
     results = run_all(seed=args.seed)
     sys.stdout.write(format_summary(results))
+    if args.timings:
+        for r in results:
+            print(f"{r.number:>2} {r.name}: {r.seconds:.3f} s", file=sys.stderr)
+        print(f"total: {sum(r.seconds for r in results):.3f} s", file=sys.stderr)
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFTEST
 
 
@@ -152,6 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selftest", help="run the acceptance campaign")
     s.add_argument("--seed", type=int, default=1)
+    s.add_argument(
+        "--timings", action="store_true", help="print each criterion's wall seconds to stderr"
+    )
     s.set_defaults(fn=cmd_selftest)
     return ap
 

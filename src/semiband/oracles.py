@@ -1,10 +1,13 @@
 """Independent oracles used to cross-check the decision procedures.
 
-Nothing here reuses the reductions from ``operators``: the symbolic oracle
-evaluates the defining implications on concrete vectors built by kernel
-analysis of input strata, and the sampled oracles draw random pairs (with
-exact integer arithmetic vectorized through numpy) that can confirm a
-violation but never overturn one.
+The decision oracles reuse neither the reductions from ``operators`` nor
+the support engine (``sigma_realization_check`` has the engine's table as
+its subject).  The symbolic oracle evaluates the defining implications on
+concrete vectors built by kernel analysis of input strata; it runs on the
+integer columns of a positive multiple of T and on support masks, which is
+all the implications read.  The sampled oracles draw random pairs that can
+confirm a violation but never overturn one; only the atomic sampler uses
+numpy, to vectorize its exact integer products.
 """
 
 from __future__ import annotations
@@ -12,20 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
-from .atomic import (
-    Vector,
-    band_contains,
-    basis_vector,
-    is_disjoint,
-    support_mask,
-    vec_add,
-    vec_scale,
-    zero_vector,
-)
+from .atomic import Vector, band_contains, is_disjoint, support_mask
 from .interval import (
     FiniteRankOp,
     PiecewisePoly,
@@ -39,104 +35,129 @@ from .interval import (
 from .operators import Operator, apply
 
 
-def _generic_in_span(vectors: list[tuple[Vector, Vector]], n: int) -> tuple[Vector, Vector]:
-    """A combination of (image, preimage) pairs whose image support is the
-    union of the individual supports; small positive multipliers suffice."""
-    acc_v = zero_vector(n)
-    acc_p = zero_vector(n)
-    for v, pre in vectors:
-        target = support_mask(acc_v) | support_mask(v)
-        if target == support_mask(acc_v):
+def _integral(v: Sequence[Fraction]) -> list[int]:
+    """v scaled by the lcm of its denominators."""
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v]
+
+
+def _int_rows(T: Operator) -> list[list[int]]:
+    """The rows of d*T, where d is the lcm of the entries' denominators.
+    Scaling by d > 0 changes no support, so no implication changes."""
+    flat = _integral([x for row in T.rows for x in row])
+    return [flat[i : i + T.n] for i in range(0, len(flat), T.n)]
+
+
+def _mask(v: Sequence[int]) -> int:
+    m = 0
+    for i, x in enumerate(v):
+        if x:
+            m |= 1 << i
+    return m
+
+
+def _image(cols: list[tuple[int, ...]], f: Sequence[int]) -> list[int]:
+    """(d*T) f, summed over the columns that f uses."""
+    acc = [0] * len(cols)
+    for j, c in enumerate(f):
+        if c:
+            acc = [x + c * y for x, y in zip(acc, cols[j])]
+    return acc
+
+
+def _generic_in_span(pairs: list[tuple[Sequence[int], Sequence[int]]], n: int) -> list[int]:
+    """The preimage of a combination of integer (image, preimage) pairs whose
+    image support is the union of the individual supports; small positive
+    multipliers suffice, since each coordinate cancels for at most one of
+    them."""
+    acc_v, acc_p, acc_m = [0] * n, [0] * n, 0
+    for v, pre in pairs:
+        target = acc_m | _mask(v)
+        if target == acc_m:
             continue
         for a in range(1, n + 2):
-            cand = vec_add(acc_v, vec_scale(a, v))
-            if support_mask(cand) == target:
-                acc_v = cand
-                acc_p = vec_add(acc_p, vec_scale(a, pre))
+            cand = [x + a * y for x, y in zip(acc_v, v)]
+            if _mask(cand) == target:
+                acc_v, acc_m = cand, target
+                acc_p = [x + a * y for x, y in zip(acc_p, pre)]
                 break
         else:  # pragma: no cover
             raise AssertionError("no cancellation-free combination")
-    return acc_v, acc_p
+    return acc_p
 
 
-def _input_strata(T: Operator) -> dict[int, Vector]:
-    """For every input-support pattern, the achievable image supports with a
-    concrete realizer each: kernel analysis of the coefficient space."""
-    n = T.n
-    nzcols = [j for j in range(1, n + 1) if any(T.entry(i, j) != 0 for i in range(1, n + 1))]
-    strata: dict[int, Vector] = {0: zero_vector(n)}
-    for r in range(len(nzcols) + 1):
+def _input_strata(cols: list[tuple[int, ...]]) -> dict[int, list[int]]:
+    """For every input-support pattern, the achievable image supports with
+    a concrete integer realizer each: kernel analysis of the coefficient
+    space.  ``cols`` are the integer columns of d*T; keys are image masks."""
+    n = len(cols)
+    nzcols = [j for j in range(n) if any(cols[j])]
+    exact = [[Fraction(x) for x in c] for c in cols]
+    strata: dict[int, list[int]] = {0: [0] * n}
+    for r in range(1, len(nzcols) + 1):
         for combo in itertools.combinations(nzcols, r):
-            if not combo:
-                continue
-            cols = [T.column(j) for j in combo]
-            hit_rows = sorted(
-                {i for c in cols for i in range(1, n + 1) if c[i - 1] != 0}
-            )
+            hit_rows = [i for i in range(n) if any(cols[j][i] for j in combo)]
             for zr in range(len(hit_rows) + 1):
                 for zero_rows in itertools.combinations(hit_rows, zr):
-                    rows = [
-                        tuple(T.entry(i, j) for j in combo) for i in zero_rows
-                    ]
-                    if rows:
-                        coeff_basis = nullspace(rows, len(combo))
+                    if zero_rows:
+                        rows = [[exact[j][i] for j in combo] for i in zero_rows]
+                        coeff_basis = [_integral(c) for c in nullspace(rows, r)]
                     else:
-                        coeff_basis = [
-                            tuple(
-                                Fraction(1 if t == s else 0) for t in range(len(combo))
-                            )
-                            for s in range(len(combo))
-                        ]
+                        coeff_basis = [[int(t == s) for t in range(r)] for s in range(r)]
                     pairs = []
+                    key = 0
                     for c in coeff_basis:
-                        g = [Fraction(0)] * n
+                        g = [0] * n
                         for coef, j in zip(c, combo):
-                            g[j - 1] = coef
-                        g = tuple(g)
-                        pairs.append((apply(T, g), g))
-                    v, pre = _generic_in_span(pairs, n)
-                    k = support_mask(v)
-                    if k not in strata:
-                        if support_mask(apply(T, pre)) != k:  # pragma: no cover
-                            raise AssertionError("stratum realizer failed to replay")
-                        strata[k] = pre
+                            g[j] = coef
+                        v = _image(cols, g)
+                        key |= _mask(v)
+                        pairs.append((v, g))
+                    if key in strata:
+                        continue
+                    pre = _generic_in_span(pairs, n)
+                    if _mask(_image(cols, pre)) != key:  # pragma: no cover
+                        raise AssertionError("stratum realizer failed to replay")
+                    strata[key] = pre
     return strata
 
 
-def _generic_per_pattern(T: Operator) -> dict[int, Vector]:
+def _generic_per_pattern(cols: list[tuple[int, ...]]) -> dict[int, list[int]]:
     """One generic representative f per input-support pattern, maximizing
-    the image support within the pattern."""
-    n = T.n
-    nzcols = [j for j in range(1, n + 1) if any(T.entry(i, j) != 0 for i in range(1, n + 1))]
-    reps: dict[int, Vector] = {0: zero_vector(n)}
+    the image support within the pattern.  A column whose image support the
+    earlier columns already cover gets coefficient zero, so supp f can be
+    smaller than its pattern."""
+    n = len(cols)
+    nzcols = [j for j in range(n) if any(cols[j])]
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    reps: dict[int, list[int]] = {0: [0] * n}
     for r in range(1, len(nzcols) + 1):
         for combo in itertools.combinations(nzcols, r):
-            pairs = [(T.column(j), basis_vector(n, j)) for j in combo]
-            _, pre = _generic_in_span(pairs, n)
-            mask = 0
-            for j in combo:
-                mask |= 1 << (j - 1)
-            # the generic preimage uses positive coefficients, so its own
-            # support is exactly the pattern
-            reps[mask] = pre
+            pre = _generic_in_span([(cols[j], units[j]) for j in combo], n)
+            reps[sum(1 << j for j in combo)] = pre
     return reps
 
 
 def sbp_scp_exhaustive(T: Operator) -> tuple[bool, bool]:
     """Decide both semi-preservation conditions by direct implication checks
     over one generic representative per input pattern and every image
-    stratum found by kernel analysis.  Exact; intended for small n."""
-    strata = _input_strata(T)
-    reps = _generic_per_pattern(T)
+    stratum found by kernel analysis.  Exact; intended for small n.
+
+    Both implications read supports only: f is disjoint from Tg iff
+    supp f & supp Tg == 0, and Tg's band contains f iff
+    supp f & ~supp Tg == 0.  So everything runs on the integer columns of
+    d*T and on support masks."""
+    cols = list(zip(*_int_rows(T)))
+    products = {
+        (_mask(f), _mask(_image(cols, f))) for f in _generic_per_pattern(cols).values()
+    }
     sbp = True
     scp = True
-    for g in strata.values():
-        tg = apply(T, g)
-        for f in reps.values():
-            tf = apply(T, f)
-            if is_disjoint(f, tg) and not is_disjoint(tf, tg):
+    for tg in _input_strata(cols):
+        for f, tf in products:
+            if not f & tg and tf & tg:
                 sbp = False
-            if band_contains(tg, f) and not band_contains(tg, tf):
+            if not f & ~tg and tf & ~tg:
                 scp = False
         if not (sbp or scp):
             break
@@ -195,10 +216,7 @@ def sigma_realization_check(
 
 
 def _int_matrix(T: Operator) -> np.ndarray:
-    scale = math.lcm(*(x.denominator for row in T.rows for x in row))
-    M = np.array(
-        [[int(x * scale) for x in row] for row in T.rows], dtype=np.int64
-    )
+    M = np.array(_int_rows(T), dtype=np.int64)
     bound = int(np.abs(M).max(initial=0)) * 9 * T.n
     if bound >= 2**62:  # pragma: no cover - tiny rationals in practice
         raise OverflowError("integer scaling too large for vectorized sampling")
@@ -243,25 +261,32 @@ def sampled_implication_check(
 def small_matrix_family(n: int, max_nnz: int, values=(Fraction(-1), Fraction(1, 2), Fraction(1))):
     """Every n x n matrix with at most max_nnz nonzero entries drawn from the
     value set, deduplicated up to simultaneous row/column relabeling."""
-    # flat index maps: entry (i,j) of the relabeled matrix comes from p[i]*n+p[j]
-    perm_maps = [
-        [p[i] * n + p[j] for i in range(n) for j in range(n)]
+    # entries are canonicalized as their ranks in the sorted value set; the
+    # map preserves order, so the least relabeling is the least one of the
+    # Fraction matrices too
+    ranked = sorted({Fraction(0), *values})
+    zero = ranked.index(0)
+    ranks = [ranked.index(v) for v in values]
+    # flat index maps: entry (i,j) of the relabeled matrix comes from p[i]*n+p[j];
+    # itemgetter of one index returns a bare item, so n = 1 uses tuple
+    relabelings = [
+        itemgetter(*[p[i] * n + p[j] for i in range(n) for j in range(n)])
         for p in itertools.permutations(range(n))
-    ]
+    ] if n > 1 else [tuple]
     seen = set()
     out = []
     positions = list(range(n * n))
     for nnz in range(max_nnz + 1):
         for pos in itertools.combinations(positions, nnz):
-            for vals in itertools.product(values, repeat=nnz):
-                flat = [Fraction(0)] * (n * n)
+            for vals in itertools.product(ranks, repeat=nnz):
+                flat = [zero] * (n * n)
                 for idx, v in zip(pos, vals):
                     flat[idx] = v
-                canon = min(tuple(flat[i] for i in pm) for pm in perm_maps)
+                canon = min(relabel(flat) for relabel in relabelings)
                 if canon in seen:
                     continue
                 seen.add(canon)
-                out.append(tuple(tuple(canon[i * n + j] for j in range(n)) for i in range(n)))
+                out.append(tuple(tuple(ranked[canon[i * n + j]] for j in range(n)) for i in range(n)))
     return out
 
 

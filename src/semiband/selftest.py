@@ -6,7 +6,8 @@ given the seed, so two runs produce byte-identical summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -57,6 +58,8 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    # wall time of the criterion; never part of the summary bytes
+    seconds: float = field(default=0.0, compare=False)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -342,18 +345,24 @@ def criterion_9_determinism(seed: int) -> CriterionResult:
 
 
 def run_all(seed: int = 1) -> list[CriterionResult]:
-    c1, forms = criterion_1_roundtrip(seed)
-    results = [
-        c1,
-        criterion_2_negative(seed, forms),
-        criterion_3_sbp_implies_scp(seed, forms),
-        criterion_4_sigma_laws(seed),
-        criterion_5_oracle_agreement(seed),
-        criterion_6_examples(),
-        criterion_7_averaging(seed),
-        criterion_8_probe(seed),
-        criterion_9_determinism(seed),
-    ]
+    results = []
+
+    def run(criterion, *args):
+        start = time.perf_counter()
+        out = criterion(*args)
+        result = out[0] if isinstance(out, tuple) else out
+        results.append(replace(result, seconds=time.perf_counter() - start))
+        return out
+
+    _, forms = run(criterion_1_roundtrip, seed)
+    run(criterion_2_negative, seed, forms)
+    run(criterion_3_sbp_implies_scp, seed, forms)
+    run(criterion_4_sigma_laws, seed)
+    run(criterion_5_oracle_agreement, seed)
+    run(criterion_6_examples)
+    run(criterion_7_averaging, seed)
+    run(criterion_8_probe, seed)
+    run(criterion_9_determinism, seed)
     return results
 
 

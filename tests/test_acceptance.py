@@ -62,3 +62,12 @@ def test_criterion_9_determinism(campaign):
     # the whole campaign must be reproducible byte for byte
     again = run_all(seed=SEED)
     assert format_summary(again) == format_summary(campaign)
+
+
+def test_every_criterion_is_timed_outside_the_summary(campaign):
+    assert [r.number for r in campaign] == list(range(1, 10))
+    assert all(r.seconds > 0 for r in campaign)
+    # timings never reach the summary bytes or result equality
+    untimed = [CriterionResult(r.number, r.name, r.passed, r.detail) for r in campaign]
+    assert untimed == campaign
+    assert format_summary(untimed) == format_summary(campaign)

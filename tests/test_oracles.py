@@ -1,0 +1,115 @@
+"""The symbolic SBP/SCP oracle against the decision procedures, on the sparse
+family and on operators over large prime denominators; its invariance
+under scaling; replay of every stratum realizer; and the sparse family
+against a literal Fraction canonicalization."""
+
+import itertools
+import random
+from fractions import Fraction
+
+from semiband import AtomicSpace, Operator, apply, is_sbp, is_scp
+from semiband.atomic import support_mask
+from semiband.generators import gen_random_wce
+from semiband.oracles import _input_strata, _int_rows, sbp_scp_exhaustive, small_matrix_family
+
+PRIMES = (65537, 2**31 - 1)
+
+
+def _operator(rows) -> Operator:
+    return Operator.from_rows(AtomicSpace.lp(len(rows), 2), rows)
+
+
+def _family(max_n: int = 3) -> list[Operator]:
+    budgets = {1: 1, 2: 4, 3: 3}
+    return [_operator(rows) for n in range(1, max_n + 1) for rows in small_matrix_family(n, budgets[n])]
+
+
+def _prime_operators(count: int = 200) -> list[Operator]:
+    """Sparse, low-rank and block (WCE) operators on n = 3-5 atoms whose
+    entries have denominators 65537 and 2^31 - 1."""
+    rng = random.Random("oracle-primes")
+
+    def entry() -> Fraction:
+        return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice(PRIMES))
+
+    ops = []
+    for i in range(count):
+        n = 3 + i % 3
+        kind = i % 4
+        if kind == 0:  # sparse
+            rows = [[entry() if rng.random() < 0.35 else 0 for _ in range(n)] for _ in range(n)]
+        elif kind == 1:  # a product of n x r and r x n factors
+            r = rng.randint(1, n - 1)
+            A = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+            B = [[entry() if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(r)]
+            rows = [[sum(A[a][k] * B[k][b] for k in range(r)) for b in range(n)] for a in range(n)]
+        else:  # a WCE form, its columns rescaled, perturbed once when kind == 3
+            form = gen_random_wce(i, n).to_operator()
+            scale = [entry() for _ in range(n)]
+            rows = [[x * abs(scale[b]) for b, x in enumerate(row)] for row in form.rows]
+            if kind == 3:
+                rows[rng.randrange(n)][rng.randrange(n)] += entry()
+        ops.append(_operator(rows))
+    return ops
+
+
+def test_oracle_agrees_with_the_decisions_on_the_sparse_family():
+    family = _family()
+    assert len(family) == 606
+    for T in family:
+        assert sbp_scp_exhaustive(T) == (is_sbp(T).holds, is_scp(T).holds), T.rows
+
+
+def test_oracle_agrees_with_the_decisions_over_large_prime_denominators():
+    verdicts = []
+    for T in _prime_operators():
+        verdict = sbp_scp_exhaustive(T)
+        assert verdict == (is_sbp(T).holds, is_scp(T).holds), T.rows
+        verdicts.append(verdict)
+    # every verdict pair that the theorem allows occurs, so no law is vacuous
+    assert set(verdicts) == {(True, True), (False, True), (False, False)}
+
+
+def test_oracle_verdict_is_invariant_under_scaling():
+    scales = [Fraction(-1), Fraction(3), Fraction(1, 65537), Fraction(-(2**31 - 1), 7)]
+    for T in _family(2) + _prime_operators(40):
+        verdict = sbp_scp_exhaustive(T)
+        for c in scales:
+            scaled = _operator([[c * x for x in row] for row in T.rows])
+            assert sbp_scp_exhaustive(scaled) == verdict, (c, T.rows)
+
+
+def test_every_stratum_realizer_replays_to_its_key():
+    for T in _family(2) + _prime_operators(60):
+        strata = _input_strata(list(zip(*_int_rows(T))))
+        assert 0 in strata
+        for key, pre in strata.items():
+            assert all(isinstance(x, int) for x in pre)
+            assert support_mask(apply(T, tuple(Fraction(x) for x in pre))) == key
+
+
+def _literal_family(n, max_nnz, values=(Fraction(-1), Fraction(1, 2), Fraction(1))):
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    out = []
+    for nnz in range(max_nnz + 1):
+        for pos in itertools.combinations(range(n * n), nnz):
+            for vals in itertools.product(values, repeat=nnz):
+                flat = [Fraction(0)] * (n * n)
+                for idx, v in zip(pos, vals):
+                    flat[idx] = v
+                canon = min(tuple(flat[p[i] * n + p[j]] for i in range(n) for j in range(n)) for p in perms)
+                if canon not in seen:
+                    seen.add(canon)
+                    out.append(tuple(tuple(canon[i * n + j] for j in range(n)) for i in range(n)))
+    return out
+
+
+def test_sparse_family_matches_the_literal_fraction_canonicalization():
+    for n, max_nnz in ((1, 1), (2, 4), (3, 3)):
+        assert small_matrix_family(n, max_nnz) == _literal_family(n, max_nnz)
+    assert small_matrix_family(2, 2, values=(Fraction(2), Fraction(-1, 3))) == _literal_family(
+        2, 2, values=(Fraction(2), Fraction(-1, 3))
+    )
+    counts = [len(small_matrix_family(n, k)) for n, k in ((1, 1), (2, 4), (3, 3), (4, 3))]
+    assert counts == [4, 136, 466, 789]

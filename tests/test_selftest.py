@@ -28,3 +28,22 @@ def test_cli_exit_codes(monkeypatch, capsys):
     assert cli.main(["selftest", "--seed", "1"]) == 1
     out = capsys.readouterr().out
     assert "wce-round-trip" in out
+
+
+def test_timings_go_to_stderr_and_leave_stdout_alone(monkeypatch, capsys):
+    results = [
+        CriterionResult(1, "alpha", True, "fine", seconds=0.25),
+        CriterionResult(2, "beta", True, "good", seconds=1.5),
+    ]
+    monkeypatch.setattr("semiband.selftest.run_all", lambda seed: results)
+    assert cli.main(["selftest", "--seed", "1"]) == 0
+    plain = capsys.readouterr()
+    assert cli.main(["selftest", "--seed", "1", "--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out == format_summary(results)
+    assert plain.err == ""
+    assert timed.err.splitlines() == [" 1 alpha: 0.250 s", " 2 beta: 1.500 s", "total: 1.750 s"]
+    # a result without a timing prints zero seconds rather than failing
+    monkeypatch.setattr("semiband.selftest.run_all", lambda seed: [CriterionResult(1, "alpha", True, "fine")])
+    assert cli.main(["selftest", "--seed", "1", "--timings"]) == 0
+    assert " 1 alpha: 0.000 s" in capsys.readouterr().err

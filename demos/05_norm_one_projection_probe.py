@@ -16,7 +16,7 @@ onto the range support.
 
 from semiband import probe_norm_one_projections, verify_probe_finding
 
-findings = probe_norm_one_projections(1, dims=[2, 3], budget=600, seed=1)
+findings = probe_norm_one_projections(1, dims=[2, 3], budget=600)
 print(f"p = 1: {len(findings)} findings")
 first = findings[0]
 print("first finding matrix:", first.operator.rows)
@@ -24,7 +24,7 @@ print("operator norm evidence:", first.norm_evidence)
 print("witness pair:", first.sbp_witness.f, first.sbp_witness.g)
 print("re-verifies all five facts exactly?", verify_probe_finding(first))
 
-findings2 = probe_norm_one_projections(2, dims=[2, 3], budget=600, seed=1)
+findings2 = probe_norm_one_projections(2, dims=[2, 3], budget=600)
 print(f"\np = 2: {len(findings2)} findings (strict convexity of the dual)")
 
 # The probe refuses the sup-norm outright: the norm-one hypothesis needs a

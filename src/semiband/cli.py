@@ -107,11 +107,11 @@ def cmd_probe(args) -> int:
         return EXIT_INPUT
     try:
         dims = _parse_dims(args.dims)
-        findings = probe_norm_one_projections(args.p, dims, budget=args.budget, seed=args.seed)
+        findings = probe_norm_one_projections(args.p, dims, budget=args.budget)
     except (ValidationError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = build_probe_report(args.p, dims, args.budget, args.seed, findings)
+    report = build_probe_report(args.p, dims, args.budget, findings)
     _emit(report, args.out)
     return EXIT_OK
 
@@ -150,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True, help='norm exponent: "1", "2", "a/b" or "inf"')
     p.add_argument("--dims", default="2..3", help="atom counts, e.g. 2..3")
     p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_probe)
 

@@ -430,10 +430,13 @@ def _piece_coordinates(
 @linalg.per_operator
 def _range_enumeration(T: FiniteRankOp) -> tuple[list[tuple[Fraction, Fraction]], frozenset[int]]:
     """All piece-masks of supports attained by range elements; the range
-    is the span of the bump images."""
+    is the span of the bump images.  A piece is a block of several
+    coordinates, so the engine's one-dimensional masks are not all the
+    minimal supports and are not used."""
     bumps, blocks = _bumps(T)
     items = linalg.echelonize(((b.image, ()) for b in bumps), blocks)
-    return _segments(T), linalg.support_masks(items, blocks)
+    masks, _ = linalg.support_masks(items, blocks)
+    return _segments(T), masks
 
 
 def _mask_region(segs, mask: int) -> IntervalRegion:

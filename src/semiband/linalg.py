@@ -168,15 +168,26 @@ def union_mask(items: list[Item]) -> int:
     return m
 
 
-def support_masks(items: list[Item], blocks: Blocks) -> frozenset[int]:
-    """The block masks of all elements of span(items).
+def support_masks(items: list[Item], blocks: Blocks) -> tuple[frozenset[int], frozenset[int]]:
+    """The block masks of all elements of span(items), and the masks at
+    which the span of the elements supported inside is one-dimensional.
 
     When the span has as many dimensions as live coordinates it holds every
-    vector on them, so every set of live blocks is a support.  Otherwise
-    the sets are found by constraining blocks in ascending bit order,
-    skipping blocks the current span already misses.  Masks do not depend
-    on scale, so the passengers and denominators are dropped first.  A span
-    live on more than ``MAX_SUPPORT_BLOCKS`` blocks is refused.
+    vector on them, so every set of live blocks is a support and the
+    one-dimensional masks are the live blocks with one live coordinate.
+    Otherwise the sets are found by constraining blocks in ascending bit
+    order, skipping blocks the current span already misses; the span
+    constrained to vanish off a mask is the same whichever path reached it.
+    Masks do not depend on scale, so the passengers and denominators are
+    dropped first.  A span live on more than ``MAX_SUPPORT_BLOCKS`` blocks
+    is refused.
+
+    A one-dimensional mask is minimal among the nonzero supports.  When
+    every block is one coordinate (an atom) the converse holds too: two
+    independent elements supported inside a mask combine to one that
+    vanishes on a coordinate of it.  A wider block breaks the converse, as
+    a two-coordinate block carrying the whole plane is a minimal support
+    with a two-dimensional span.
     """
     full = union_mask(items)
     if full.bit_count() > MAX_SUPPORT_BLOCKS:
@@ -194,19 +205,23 @@ def support_masks(items: list[Item], blocks: Blocks) -> frozenset[int]:
         masks = [0]
         for b in order:
             masks += [m | b for m in masks]
-        return frozenset(masks)
+        single = [b for b in order if sum(live >> c & 1 for c in blocks.coords[b]) == 1]
+        return frozenset(masks), frozenset(single)
     results: set[int] = set()
+    lines: set[int] = set()
 
     def rec(cur: list[Item], start: int) -> None:
         m = union_mask(cur)
         results.add(m)
+        if len(cur) == 1:
+            lines.add(m)
         for idx in range(start, len(order)):
             bit = order[idx]
             if m & bit:
                 rec(constrain(cur, bit, blocks), idx + 1)
 
     rec([Item(it.vec, it.mask, (), 1) for it in items], 0)
-    return frozenset(results)
+    return frozenset(results), frozenset(lines)
 
 
 def first_violation(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from . import linalg
@@ -31,6 +30,7 @@ from .atomic import (
 )
 from .errors import (
     DimensionMismatchError,
+    InternalConsistencyError,
     UnachievableSupportError,
     ValidationError,
 )
@@ -150,11 +150,14 @@ class PredicateResult:
 
 @dataclass(frozen=True)
 class SigmaTable:
-    """The achievable range supports of an operator, plus their union."""
+    """The achievable range supports of an operator, their union, and the
+    nonempty supports minimal under inclusion, ordered by their smallest
+    atom (ties by bitmask)."""
 
     n: int
     masks: frozenset[int]
     s_t_mask: int
+    minimal: tuple[int, ...]
 
     @property
     def s_t(self) -> SupportSet:
@@ -163,49 +166,6 @@ class SigmaTable:
     @property
     def supports(self) -> tuple[SupportSet, ...]:
         return tuple(SupportSet.from_mask(m) for m in sorted(self.masks))
-
-    @property
-    def is_powerset(self) -> bool:
-        return len(self.masks) == 1 << bin(self.s_t_mask).count("1")
-
-    @cached_property
-    def minimal_masks(self) -> tuple[int, ...]:
-        """Nonempty members minimal under inclusion, found in popcount
-        order: a member is minimal when no minimal member kept so far lies
-        inside it (a proper subset has fewer atoms, so it came first)."""
-        mins: list[int] = []
-        for m in sorted(self.masks, key=int.bit_count):
-            for k in mins:
-                if k & m == k:
-                    break
-            else:
-                if m:
-                    mins.append(m)
-        mins.sort(key=lambda m: ((m & -m).bit_length(), m))
-        return tuple(mins)
-
-    @property
-    def is_boolean(self) -> bool:
-        """Whether the table is the Boolean algebra its minimal members
-        generate: they are pairwise disjoint, every member is a union of
-        them, and there are 2^|minimal| members.  Then it is closed under
-        union, intersection and relative complement."""
-        mins = self.minimal_masks
-        if len(self.masks) != 1 << len(mins):
-            return False
-        seen = 0
-        for k in mins:
-            if seen & k:
-                return False
-            seen |= k
-        for m in self.masks:
-            covered = 0
-            for k in mins:
-                if k & m == k:
-                    covered |= k
-            if covered != m:
-                return False
-        return True
 
     def __contains__(self, s) -> bool:
         m = s if isinstance(s, int) else s.mask
@@ -225,10 +185,13 @@ def _column_space(T: Operator) -> list[linalg.Item]:
 
 @linalg.per_operator
 def enumerate_sigma(T: Operator) -> SigmaTable:
-    """All supports attained by range elements of T (kept on T)."""
+    """All supports attained by range elements of T (kept on T).  Every
+    block is one atom, so the minimal supports are the engine's
+    one-dimensional masks."""
     items = _column_space(T)
-    masks = linalg.support_masks(items, linalg.Blocks.atoms(T.n))
-    return SigmaTable(T.n, masks, linalg.union_mask(items))
+    masks, lines = linalg.support_masks(items, linalg.Blocks.atoms(T.n))
+    minimal = tuple(sorted(lines, key=lambda m: ((m & -m).bit_length(), m)))
+    return SigmaTable(T.n, masks, linalg.union_mask(items), minimal)
 
 
 def realize_support(T: Operator, S: SupportSet) -> Vector:
@@ -253,7 +216,7 @@ def realize_support(T: Operator, S: SupportSet) -> Vector:
 def minimal_supports(sigma: SigmaTable) -> tuple[SupportSet, ...]:
     """Nonempty members of the table minimal under inclusion, ordered by
     their smallest atom (ties by bitmask)."""
-    return tuple(SupportSet.from_mask(m) for m in sigma.minimal_masks)
+    return tuple(SupportSet.from_mask(m) for m in sigma.minimal)
 
 
 @linalg.per_operator
@@ -347,9 +310,16 @@ def is_beta(T: Operator) -> PredicateResult:
 
 def _first_atom_violation(T: Operator, inside: bool) -> tuple[int, Vector] | None:
     """(i, g) for the first support S = supp(Tg) and atom i that break the
-    semi law ``linalg.first_violation`` names by ``inside``."""
+    semi law ``linalg.first_violation`` names by ``inside``.
+
+    Only the minimal supports are scanned.  Every support S is a union of
+    them, and if S breaks a law at atom i, so does the minimal support
+    inside S that holds atom i (semi containment) or an atom of S that
+    column i meets (semi band).  That support is numerically no larger
+    than S, so the least violating support is itself minimal.
+    """
     sources = [(1 << j, m) for j, m in enumerate(_column_masks(T))]
-    hit = linalg.first_violation(enumerate_sigma(T).masks, sources, inside)
+    hit = linalg.first_violation(enumerate_sigma(T).minimal, sources, inside)
     if hit is None:
         return None
     s_mask, j = hit
@@ -402,20 +372,24 @@ def verify_sigma_closures(T: Operator, sigma: SigmaTable) -> ClosureReport:
     """Check the enumerated table for closure under pairwise union,
     pairwise intersection, and relative complement (A within B).
 
-    Union always holds: for range elements f and g, supp(f + a g) is
-    supp f | supp g for all but finitely many scalars a.  Relative
-    complement holds exactly when intersection does.  Given union closure,
-    A minus B is (A | B) minus B, and A & B is A minus (A minus B), so
-    complement closure gives intersection closure.  Conversely, under
-    intersection closure two distinct minimal supports cannot overlap
-    (their intersection would be a smaller nonempty member), and every
-    support is a union of minimal supports (the support of a vector in a
-    subspace is a union of circuits), so the table is the Boolean algebra
-    they generate.  A power set, and more generally such a Boolean algebra,
-    needs no scan; any other table is scanned pair by pair for
-    intersection, and the first failing pair is the witness.
+    The table is exactly the set of unions of its minimal supports (the
+    support of a vector in a subspace is a union of circuits), so all
+    three laws hold iff the minimal supports are pairwise disjoint.  Union
+    always holds: for range elements f and g, supp(f + a g) is
+    supp f | supp g for all but finitely many scalars a.  Disjoint minimal
+    supports make the table the Boolean algebra they generate.  Two
+    overlapping ones meet in a nonempty proper subset of each, which is
+    not in the table, so intersection fails, and with it relative
+    complement (A & B is A minus (A minus B)).  Only then is the table
+    scanned pair by pair, to pick the first failing intersection as the
+    witness.
     """
-    if sigma.is_powerset or sigma.is_boolean:
+    seen = 0
+    for m in sigma.minimal:
+        if seen & m:
+            break
+        seen |= m
+    else:
         return ClosureReport(True, True, True)
     masks = sorted(sigma.masks)
     for ai, a in enumerate(masks):
@@ -429,7 +403,7 @@ def verify_sigma_closures(T: Operator, sigma: SigmaTable) -> ClosureReport:
                     f"{SupportSet.from_mask(b)!r} misses {SupportSet.from_mask(a & b)!r}",
                 )
                 return ClosureReport(True, False, False, witness)
-    return ClosureReport(True, True, True)
+    raise InternalConsistencyError("minimal supports overlap yet the table is closed under intersection")
 
 
 def replay_witness(T: Operator, w: Witness) -> bool:

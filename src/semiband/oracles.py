@@ -216,11 +216,11 @@ def sigma_realization_check(
 
 
 def _int_matrix(T: Operator) -> np.ndarray:
-    M = np.array(_int_rows(T), dtype=np.int64)
-    bound = int(np.abs(M).max(initial=0)) * 9 * T.n
-    if bound >= 2**62:  # pragma: no cover - tiny rationals in practice
-        raise OverflowError("integer scaling too large for vectorized sampling")
-    return M
+    """d*T as an array whose products with draws in [-9, 9] are exact:
+    ``int64`` while they stay below 2^62, Python ints (``object``) beyond."""
+    rows = _int_rows(T)
+    bound = max((abs(x) for row in rows for x in row), default=0) * 9 * T.n
+    return np.array(rows, dtype=np.int64 if bound < 2**62 else object)
 
 
 def sampled_implication_check(

@@ -305,16 +305,16 @@ def criterion_7_averaging(seed: int) -> CriterionResult:
     return CriterionResult(7, "averaging-operators", not failures, detail)
 
 
-def criterion_8_probe(seed: int) -> CriterionResult:
+def criterion_8_probe() -> CriterionResult:
     problems = []
-    findings = probe_norm_one_projections(1, [2, 3], budget=600, seed=seed)
+    findings = probe_norm_one_projections(1, [2, 3], budget=600)
     if not findings:
         problems.append("the p=1 probe found no candidates at all")
     for f in findings:
         if not verify_probe_finding(f):
             problems.append("a p=1 finding failed exact re-verification")
             break
-    findings2 = probe_norm_one_projections(2, [2, 3], budget=600, seed=seed)
+    findings2 = probe_norm_one_projections(2, [2, 3], budget=600)
     if findings2:
         problems.append(f"p=2 rank-one grid produced {len(findings2)} findings; expected none")
     detail = (
@@ -325,17 +325,17 @@ def criterion_8_probe(seed: int) -> CriterionResult:
     return CriterionResult(8, "norm-one-projection-probe", not problems, detail)
 
 
-def criterion_9_determinism(seed: int) -> CriterionResult:
+def criterion_9_determinism() -> CriterionResult:
     problems = []
     Q = escape_projection()
     r1 = dumps(build_analysis_report(Q))
     r2 = dumps(build_analysis_report(Q))
     if r1 != r2:
         problems.append("analysis report bytes differ between runs")
-    f1 = probe_norm_one_projections(1, [2], budget=200, seed=seed)
-    f2 = probe_norm_one_projections(1, [2], budget=200, seed=seed)
-    p1 = dumps(build_probe_report(1, [2], 200, seed, f1))
-    p2 = dumps(build_probe_report(1, [2], 200, seed, f2))
+    f1 = probe_norm_one_projections(1, [2], budget=200)
+    f2 = probe_norm_one_projections(1, [2], budget=200)
+    p1 = dumps(build_probe_report(1, [2], 200, f1))
+    p2 = dumps(build_probe_report(1, [2], 200, f2))
     if p1 != p2:
         problems.append("probe report bytes differ between runs")
     detail = "reports byte-identical across repeated runs"
@@ -361,8 +361,8 @@ def run_all(seed: int = 1) -> list[CriterionResult]:
     run(criterion_5_oracle_agreement, seed)
     run(criterion_6_examples)
     run(criterion_7_averaging, seed)
-    run(criterion_8_probe, seed)
-    run(criterion_9_determinism, seed)
+    run(criterion_8_probe)
+    run(criterion_9_determinism)
     return results
 
 

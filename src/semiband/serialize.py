@@ -316,7 +316,7 @@ def build_interval_report(T: FiniteRankOp) -> dict:
     }
 
 
-def build_probe_report(p, dims, budget: int, seed: int, findings) -> dict:
+def build_probe_report(p, dims, budget: int, findings) -> dict:
     from .wce import ProbeFinding
 
     out = []
@@ -343,7 +343,6 @@ def build_probe_report(p, dims, budget: int, seed: int, findings) -> dict:
         "p": p_to_json(p if p == INF else Fraction(p)),
         "dims": list(dims),
         "budget": budget,
-        "seed": seed,
         "findings": out,
     }
 

@@ -4,8 +4,9 @@ An operator of this kind acts as ``Tf = sum_j <psi_j, f> u_j`` where the
 blocks A_j are pairwise disjoint atom sets hosting both supp(u_j) and
 supp(psi_j).  Blockwise averaging is the classical special case.  The
 decomposition routine recovers this form from a raw matrix exactly when
-the matrix is semi band preserving; the blocks are then the minimal
-achievable supports.
+the matrix is semi band preserving, reading it off the columns: the
+blocks are the distinct supports of the nonzero columns, which are the
+minimal achievable supports, and no support is enumerated.
 """
 
 from __future__ import annotations
@@ -33,14 +34,10 @@ from .errors import IndeterminateComparisonError, InternalConsistencyError, Vali
 from .operators import (
     Operator,
     Witness,
-    apply,
-    enumerate_sigma,
     is_projection,
     is_sbp,
     is_scp,
-    minimal_supports,
     operator_norm,
-    realize_support,
     replay_witness,
 )
 from .values import ExactValue, compare, multiply, value_max
@@ -79,7 +76,13 @@ def make_wce(
     u: Sequence[Vector],
     psi: Sequence[Vector],
 ) -> WceForm:
-    """Validate and canonicalize a weighted conditional expectation form."""
+    """Validate and canonicalize a weighted conditional expectation form.
+
+    Validation asks only that supp(u_j) and supp(psi_j) lie in block j, so
+    the forms accepted are wider than the paper's class: the operator is
+    semi band preserving iff supp(psi_j) lies in supp(u_j) for every j.
+    ``escape_projection`` is a valid form outside that class.
+    """
     if not (len(blocks) == len(u) == len(psi)):
         raise ValidationError("blocks, u and psi must have equal lengths")
     seen = 0
@@ -159,42 +162,35 @@ def decompose_wce(T: Operator) -> WceForm | Witness:
     """Recover the weighted conditional expectation form of T.
 
     Succeeds exactly when T is semi band preserving; otherwise the SBP
-    violation witness is returned.  Blocks are the minimal achievable
-    supports; u_j is the canonical realizer of block j; psi_j is read off
-    a pivot row and the reassembled matrix is checked against T entrywise.
+    violation witness is returned.  The form is read off the columns: the
+    blocks are the distinct supports of the nonzero columns, u_j is a
+    column with support block j scaled to a leading 1, and psi_j is the
+    row of the block's lowest atom.  The reassembled matrix is checked
+    against T entrywise.
     """
     check = is_sbp(T)
     if not check:
         return check.witness
-    sigma = enumerate_sigma(T)
-    blocks = minimal_supports(sigma)
-    seen = 0
-    for b in blocks:
-        if seen & b.mask:  # pragma: no cover - contradicts SBP
-            raise InternalConsistencyError("minimal supports overlap for an SBP operator")
-        seen |= b.mask
     n = T.n
-    us, psis = [], []
-    for b in blocks:
-        g = realize_support(T, b)
-        u = apply(T, g)
+    columns: dict[int, Vector] = {}
+    for j in range(1, n + 1):
+        col = T.column(j)
+        m = support_mask(col)
+        if m:
+            columns.setdefault(m, col)
+    blocks, us, psis = [], [], []
+    for m, col in columns.items():
+        b = SupportSet.from_mask(m)
         lead_atom = min(b)
-        lead = u[lead_atom - 1]
-        if lead == 0:  # pragma: no cover - realizer has support exactly b
-            raise InternalConsistencyError("realizer misses its own pivot atom")
-        u = vec_scale(1 / lead, u)
         psi = tuple(T.entry(lead_atom, i) for i in range(1, n + 1))
         if not support(psi) <= b:
             raise InternalConsistencyError(
                 f"recovered functional escapes block {b!r}; decomposition defect"
             )
-        us.append(u)
+        blocks.append(b)
+        us.append(vec_scale(1 / col[lead_atom - 1], col))
         psis.append(psi)
-    form = (
-        make_wce(T.space, blocks, tuple(us), tuple(psis))
-        if blocks
-        else WceForm(T.space, (), (), ())
-    )
+    form = make_wce(T.space, blocks, us, psis)
     if form.to_operator().rows != T.rows:
         raise InternalConsistencyError("reassembled matrix differs from the input")
     return form
@@ -275,7 +271,6 @@ def probe_norm_one_projections(
     p,
     dims: Iterable[int],
     budget: int,
-    seed: int = 0,
 ) -> list[ProbeFinding]:
     """Search structured candidate families for norm-one SCP projections on
     strictly monotone spaces that are not decomposable.

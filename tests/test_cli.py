@@ -146,8 +146,7 @@ def test_cli_interval_degree_budget(tmp_path):
 
 def test_cli_probe_writes_findings(tmp_path):
     out = tmp_path / "findings.json"
-    assert run_cli("probe", "--p", "1", "--dims", "2..3", "--budget", "400",
-                   "--seed", "1", "--out", str(out)) == 0
+    assert run_cli("probe", "--p", "1", "--dims", "2..3", "--budget", "400", "--out", str(out)) == 0
     data = json.loads(out.read_text())
     assert data["schema"] == 1
     assert data["findings"]
@@ -160,8 +159,7 @@ def test_cli_probe_writes_findings(tmp_path):
     for space, T, nrm, witness in parsed:
         assert verify_probe_finding(ProbeFinding(space, T, nrm, witness))
     out2 = tmp_path / "none.json"
-    assert run_cli("probe", "--p", "2", "--dims", "2..2", "--budget", "400",
-                   "--seed", "1", "--out", str(out2)) == 0
+    assert run_cli("probe", "--p", "2", "--dims", "2..2", "--budget", "400", "--out", str(out2)) == 0
     assert json.loads(out2.read_text())["findings"] == []
 
 
@@ -176,8 +174,8 @@ def test_cli_determinism_bytes(tmp_path):
                        "--report", str(path)) == 0
     assert a.read_bytes() == b.read_bytes()
     pa, pb = tmp_path / "pa.json", tmp_path / "pb.json"
-    run_cli("probe", "--p", "1", "--dims", "2..2", "--budget", "150", "--seed", "2", "--out", str(pa))
-    run_cli("probe", "--p", "1", "--dims", "2..2", "--budget", "150", "--seed", "2", "--out", str(pb))
+    run_cli("probe", "--p", "1", "--dims", "2..2", "--budget", "150", "--out", str(pa))
+    run_cli("probe", "--p", "1", "--dims", "2..2", "--budget", "150", "--out", str(pb))
     assert pa.read_bytes() == pb.read_bytes()
 
 

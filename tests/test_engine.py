@@ -1,6 +1,7 @@
 """The integer support engine and its fast paths: golden report bytes, the
 closure and minimal-support shortcuts and the SBP/SCP scan against their
-literal definitions, realizers over large coprime denominators, witness
+literal definitions, SBP against its matrix form and the WCE blocks against
+the minimal supports, realizers over large coprime denominators, witness
 replay, the shared enumeration budget, engine state built once per
 operator, and oracles that stay independent of the engine."""
 
@@ -19,7 +20,9 @@ from semiband import (
     Operator,
     SupportSet,
     apply,
+    decompose_wce,
     enumerate_sigma,
+    is_sbp,
     make_averaging,
     minimal_supports,
     realize_support,
@@ -30,7 +33,8 @@ from semiband import BudgetExceededError, linalg
 from semiband.atomic import support_mask
 from semiband.cli import main
 from semiband.interval import make_sbp_not_scp_operator
-from semiband.operators import ClosureReport, SigmaTable, Witness
+from semiband.operators import ClosureReport, Witness
+from semiband.oracles import sbp_scp_exhaustive
 from semiband.serialize import build_analysis_report, build_interval_report, parse_operator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -137,6 +141,42 @@ def test_minimal_supports_literal(T):
     assert minimal_supports(sigma) == tuple(SupportSet.from_mask(m) for m in literal)
 
 
+@st.composite
+def sparse_operators(draw):
+    """Matrices on 1-6 atoms whose entries are mostly zero."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, Fraction(1, 2), 3])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return Operator.from_rows(AtomicSpace.lp(n, 2), rows)
+
+
+def structural_sbp(T) -> bool:
+    """The paper's theorem as a matrix form: the nonzero columns have
+    pairwise equal or disjoint supports, columns with equal supports are
+    parallel, and each nonzero column i has T[i,i] != 0."""
+    cols = [(i, c, support_mask(c)) for i, c in enumerate(zip(*T.rows)) if any(c)]
+    for i, c, m in cols:
+        if c[i] == 0:
+            return False
+        for _, d, k in cols:
+            if m & k and (m != k or any(x * d[i] != y * c[i] for x, y in zip(c, d))):
+                return False
+    return True
+
+
+@settings(max_examples=150)
+@given(st.one_of(operators(), sparse_operators()))
+def test_sbp_is_the_matrix_form_of_a_wce(T):
+    sbp = is_sbp(T).holds
+    assert structural_sbp(T) == sbp
+    if T.n <= 4:
+        assert sbp_scp_exhaustive(T)[0] == sbp
+    if sbp:
+        # the supports enumerated the long way are the reference for the
+        # blocks read off the columns
+        assert decompose_wce(T).blocks == minimal_supports(enumerate_sigma(T))
+
+
 @settings(max_examples=40)
 @given(operators(entry=LARGE))
 def test_realizers_over_large_denominators(T):
@@ -157,24 +197,6 @@ def test_item_and_elimination_stay_in_lowest_terms():
     want = [Fraction(x, b.den) - r * Fraction(y, a.den) for x, y in zip(b.vec + b.pre, a.vec + a.pre)]
     assert linalg.fractions(c.vec + c.pre, c.den) == tuple(want)
     assert c.den > 0 and math.gcd(*c.vec, *c.pre, c.den) == 1
-
-
-def test_boolean_shortcut_on_every_family_of_three_atoms():
-    # is_boolean must hold exactly for the families (with the empty set)
-    # closed under union, intersection and relative complement, whether or
-    # not they are the support table of any operator
-    subsets = range(1, 8)
-    for pick in range(1 << 7):
-        masks = frozenset([0] + [m for i, m in enumerate(subsets) if pick >> i & 1])
-        s_t = 0
-        for m in masks:
-            s_t |= m
-        closed = all(
-            a | b in masks and a & b in masks and (a & b != a or b & ~a in masks)
-            for a in masks
-            for b in masks
-        )
-        assert SigmaTable(3, masks, s_t).is_boolean == closed, sorted(masks)
 
 
 def test_forged_closure_witness_does_not_replay():
@@ -219,6 +241,14 @@ def test_engine_state_built_once_per_operator(monkeypatch):
         masks.clear()
     build_interval_report(make_sbp_not_scp_operator())
     assert (len(ech), len(masks)) == (1, 1)
+    # once SBP is decided, the WCE form is read off the columns: no
+    # constrained span and no generic combination
+    T = Operator.from_rows(AtomicSpace.lp(4, 2), [[1, 2, 0, 0], [3, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5]])
+    assert is_sbp(T)
+    constrain = _counting(monkeypatch, "constrain")
+    combine = _counting(monkeypatch, "combine_generic")
+    assert decompose_wce(T).blocks == (SupportSet.of(1, 2), SupportSet.of(4))
+    assert (constrain, combine) == ([], [])
 
 
 # -- the one SBP/SCP scan ---------------------------------------------------------

@@ -1,16 +1,23 @@
 """The symbolic SBP/SCP oracle against the decision procedures, on the sparse
 family and on operators over large prime denominators; its invariance
-under scaling; replay of every stratum realizer; and the sparse family
-against a literal Fraction canonicalization."""
+under scaling; replay of every stratum realizer; the sampled oracle past
+the int64 range; and the sparse family against a literal Fraction
+canonicalization."""
 
 import itertools
 import random
 from fractions import Fraction
 
-from semiband import AtomicSpace, Operator, apply, is_sbp, is_scp
+from semiband import AtomicSpace, Operator, Witness, apply, is_sbp, is_scp, replay_witness
 from semiband.atomic import support_mask
 from semiband.generators import gen_random_wce
-from semiband.oracles import _input_strata, _int_rows, sbp_scp_exhaustive, small_matrix_family
+from semiband.oracles import (
+    _input_strata,
+    _int_rows,
+    sampled_implication_check,
+    sbp_scp_exhaustive,
+    small_matrix_family,
+)
 
 PRIMES = (65537, 2**31 - 1)
 
@@ -86,6 +93,21 @@ def test_every_stratum_realizer_replays_to_its_key():
         for key, pre in strata.items():
             assert all(isinstance(x, int) for x in pre)
             assert support_mask(apply(T, tuple(Fraction(x) for x in pre))) == key
+
+
+def test_sampled_oracle_stays_exact_past_int64():
+    # the lcm of the denominators, 65537 (2^31 - 1) 999983, is past 2^63
+    p, q, r = Fraction(1, 65537), Fraction(1, 2**31 - 1), Fraction(1, 999983)
+    kinds = {"sbp": "SBP-violation", "scp": "SCP-violation"}
+    T = _operator([[p, q, 0], [0, r, 0], [0, 0, 1]])
+    for which in kinds:
+        sampled_implication_check(T, which, 10**4, 1)
+    # columns 1 and 2 span the plane of atoms 1 and 2, and each meets the
+    # other's atom: both laws fail, and the sampler confirms it
+    T = _operator([[p, q, 0], [r, 0, 0], [0, 0, 1]])
+    for which, kind in kinds.items():
+        f, g = sampled_implication_check(T, which, 10**4, 1)
+        assert replay_witness(T, Witness(kind, f, g, "sampled"))
 
 
 def _literal_family(n, max_nnz, values=(Fraction(-1), Fraction(1, 2), Fraction(1))):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from semiband import (
     verify_probe_finding,
     wce_operator_norm,
 )
+from semiband.atomic import support
 from semiband.errors import ValidationError
 from semiband.generators import gen_random_wce, perturb_off_block
 from semiband.values import IntervalValue, compare, exact, multiply
@@ -146,6 +148,33 @@ def test_escaping_functional_breaks_sbp():
     assert not is_sbp(T).holds
 
 
+def test_form_is_sbp_iff_functionals_stay_in_range_supports():
+    # make_wce accepts any functional inside the block; the operator is SBP
+    # exactly when every psi_j also stays inside supp(u_j)
+    rng = random.Random("wce-class")
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        label = [rng.randrange(3) for _ in range(n)]
+        blocks, us, psis = [], [], []
+        for b in sorted(set(label)):
+            atoms = [i for i in range(n) if label[i] == b]
+            u = [Fraction(0)] * n
+            psi = [Fraction(0)] * n
+            for i in atoms:
+                u[i] = Fraction(rng.choice((0, 0, 1, -2, 3)))
+                psi[i] = Fraction(rng.choice((0, 1, Fraction(1, 2), -1)))
+            u[rng.choice(atoms)] = Fraction(1)
+            blocks.append(SupportSet.of(*(i + 1 for i in atoms)))
+            us.append(tuple(u))
+            psis.append(tuple(psi))
+        form = make_wce(AtomicSpace.lp(n, 2), blocks, us, psis)
+        inside = all(support(p) <= support(u) for u, p in zip(form.u, form.psi))
+        assert is_sbp(form.to_operator()).holds == inside, (form.u, form.psi)
+        verdicts.add(inside)
+    assert verdicts == {True, False}
+
+
 def test_perturbed_forms_yield_replayable_witnesses():
     for i in range(40):
         form = gen_random_wce(6000 + i, 2 + i % 9)
@@ -196,14 +225,14 @@ def test_wce_norm_agrees_with_operator_norm():
 
 
 def test_probe_p1_contains_escape_projection():
-    findings = probe_norm_one_projections(1, [2], budget=400, seed=1)
+    findings = probe_norm_one_projections(1, [2], budget=400)
     assert findings
     assert any(f.operator.rows == escape_projection().rows for f in findings)
     assert all(verify_probe_finding(f) for f in findings)
 
 
 def test_probe_p2_rank_one_grid_is_empty():
-    assert probe_norm_one_projections(2, [2, 3], budget=400, seed=1) == []
+    assert probe_norm_one_projections(2, [2, 3], budget=400) == []
 
 
 def test_verify_probe_finding_rejects_undecidable_norm():
@@ -229,7 +258,7 @@ def test_probe_rejects_sup_norm():
 def test_probe_general_p_small_grid_empty():
     # for 1 < p < inf the dual norm is strictly convex, so escaping
     # functionals push the norm product above 1
-    assert probe_norm_one_projections(Fraction(5, 2), [2], budget=200, seed=1) == []
+    assert probe_norm_one_projections(Fraction(5, 2), [2], budget=200) == []
 
 
 def test_norm_one_escape_impossible_on_sup_norm_grid():

@@ -477,13 +477,14 @@ def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
 
 
 def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
-    """A function g with supp(Tg) equal to the region, exactly."""
-    segs, masks = _range_enumeration(T)
+    """A function g with supp(Tg) equal to the region, exactly; raises if
+    the region is not a union of pieces or not achievable."""
+    segs = _segments(T)
     target = 0
     for pi, (lo, hi) in enumerate(segs):
         if S.contains(IntervalRegion.of((lo, hi))):
             target |= 1 << pi
-    if _mask_region(segs, target) != S or target not in masks:
+    if _mask_region(segs, target) != S:
         raise UnachievableSupportError(f"range support {S!r} not achievable")
     if target == 0:
         return PiecewisePoly.zero()
@@ -503,7 +504,7 @@ def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
         )
         items.append(linalg.item(v, y, blocks))
     image, coeffs = linalg.combine_generic(items, blocks)
-    if blocks.mask(image) != target:  # pragma: no cover - guarded by membership test
+    if blocks.mask(image) != target:
         raise UnachievableSupportError(f"range support {S!r} not achievable")
     per_piece: list[list[Fraction]] = [[] for _ in segs]
     for b, c in zip(bumps, coeffs):

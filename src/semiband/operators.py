@@ -34,7 +34,7 @@ from .errors import (
     UnachievableSupportError,
     ValidationError,
 )
-from .values import ExactValue, IntervalValue, Value, multiply, sqrt_value
+from .values import ExactValue, IntervalValue, Value, multiply, pow_enclosure, sqrt_value
 
 
 @dataclass(frozen=True)
@@ -195,22 +195,20 @@ def enumerate_sigma(T: Operator) -> SigmaTable:
 
 
 def realize_support(T: Operator, S: SupportSet) -> Vector:
-    """A vector g with supp(Tg) = S; raises if S is not achievable."""
-    sigma = enumerate_sigma(T)
+    """A vector g with supp(Tg) = S; raises if S is not achievable, which is
+    when the range constrained to vanish off S is not live on all of S."""
     target = S.mask
-    if target not in sigma.masks:
-        raise UnachievableSupportError(f"support {S!r} not achievable")
     if target == 0:
         return zero_vector(T.n)
     blocks = linalg.Blocks.atoms(T.n)
     items = _column_space(T)
+    live = linalg.union_mask(items)
     for bit in blocks.coords:
-        if sigma.s_t_mask & ~target & bit:
+        if live & ~target & bit:
             items = linalg.constrain(items, bit, blocks)
-    v, pre = linalg.combine_generic(items, blocks)
-    if support_mask(v) != target:  # pragma: no cover - guarded by sigma membership
+    if linalg.union_mask(items) != target:
         raise UnachievableSupportError(f"support {S!r} not achievable")
-    return pre
+    return linalg.combine_generic(items, blocks)[1]
 
 
 def minimal_supports(sigma: SigmaTable) -> tuple[SupportSet, ...]:
@@ -505,8 +503,6 @@ def operator_norm(space: AtomicSpace, T: Operator) -> Value:
         _, hi = sqrt_value(frob).enclosure()
     else:
         # Holder: sum |x_j| a_j <= ||x||_{p,w} * (sum a_j^q w_j^(1-q))^(1/q)
-        from .values import pow_enclosure
-
         q = p / (p - 1)
         s_hi = Fraction(0)
         for j in range(1, n + 1):

@@ -6,6 +6,7 @@ given the seed, so two runs produce byte-identical summaries.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -275,12 +276,10 @@ def criterion_6_examples() -> CriterionResult:
 
 
 def criterion_7_averaging(seed: int) -> CriterionResult:
-    import random as _random
-
     items = []
     for i in range(100):
         n = 2 + i % 9  # 2..10
-        rng = _random.Random(f"avg:{seed}:{i}")
+        rng = random.Random(f"avg:{seed}:{i}")
         items.append((n, random_partition(rng, n)))
 
     spaces = {}

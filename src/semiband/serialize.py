@@ -17,9 +17,31 @@ from typing import Any
 
 from .atomic import INF, AtomicSpace, SupportSet, Vector
 from .errors import ValidationError
-from .interval import FiniteRankOp, FropWitness, IntervalRegion, PiecewisePoly
-from .operators import Operator, Witness
+from .interval import (
+    FiniteRankOp,
+    FropWitness,
+    IntervalRegion,
+    PiecewisePoly,
+    frop_is_sbp,
+    frop_is_scp,
+    frop_range_supports,
+)
+from .operators import (
+    Operator,
+    Witness,
+    enumerate_sigma,
+    is_band_preserving,
+    is_beta,
+    is_disjointness_preserving,
+    is_projection,
+    is_sbp,
+    is_scp,
+    minimal_supports,
+    operator_norm,
+    verify_sigma_closures,
+)
 from .values import ExactValue, IntervalValue, SqrtValue, Value
+from .wce import ProbeFinding, WceForm, decompose_wce
 
 
 def rat_str(x: Fraction) -> str:
@@ -230,20 +252,6 @@ def frop_witness_to_json(w: FropWitness) -> dict:
 
 def build_analysis_report(T: Operator) -> dict:
     """Run the full atomic pipeline and assemble the report dict."""
-    from .operators import (
-        enumerate_sigma,
-        is_band_preserving,
-        is_beta,
-        is_disjointness_preserving,
-        is_projection,
-        is_sbp,
-        is_scp,
-        minimal_supports,
-        operator_norm,
-        verify_sigma_closures,
-    )
-    from .wce import WceForm, decompose_wce
-
     sigma = enumerate_sigma(T)
     preds = {}
     for name, fn in (
@@ -296,8 +304,6 @@ def build_analysis_report(T: Operator) -> dict:
 
 
 def build_interval_report(T: FiniteRankOp) -> dict:
-    from .interval import frop_is_sbp, frop_is_scp, frop_range_supports
-
     supports = frop_range_supports(T)
     sbp = frop_is_sbp(T)
     scp = frop_is_scp(T)
@@ -317,8 +323,6 @@ def build_interval_report(T: FiniteRankOp) -> dict:
 
 
 def build_probe_report(p, dims, budget: int, findings) -> dict:
-    from .wce import ProbeFinding
-
     out = []
     for f in findings:
         assert isinstance(f, ProbeFinding)

@@ -1,9 +1,10 @@
 """The integer support engine and its fast paths: golden report bytes, the
 closure and minimal-support shortcuts and the SBP/SCP scan against their
 literal definitions, SBP against its matrix form and the WCE blocks against
-the minimal supports, realizers over large coprime denominators, witness
-replay, the shared enumeration budget, engine state built once per
-operator, and oracles that stay independent of the engine."""
+the minimal supports, realizers over large coprime denominators and
+against the enumerated supports, witness replay, the shared enumeration
+budget, engine state built once per operator, and oracles that stay
+independent of the engine."""
 
 import ast
 import json
@@ -32,6 +33,7 @@ from semiband import (
 from semiband import BudgetExceededError, linalg
 from semiband.atomic import support_mask
 from semiband.cli import main
+from semiband.errors import UnachievableSupportError
 from semiband.interval import make_sbp_not_scp_operator
 from semiband.operators import ClosureReport, Witness
 from semiband.oracles import sbp_scp_exhaustive
@@ -60,10 +62,10 @@ LARGE = st.builds(Fraction, st.integers(-(10**6), 10**6), st.sampled_from(PRIMES
 
 
 @st.composite
-def operators(draw, entry=SMALL):
+def operators(draw, entry=SMALL, max_n=8):
     """Low-rank products over zero-heavy factors, WCE forms, and WCE forms
     with one off-block entry."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(2, max_n))
     kind = draw(st.sampled_from(["low-rank", "wce", "perturbed"]))
     maybe_zero = st.one_of(st.just(Fraction(0)), entry)
     if kind == "low-rank":
@@ -183,6 +185,20 @@ def test_realizers_over_large_denominators(T):
     for m in enumerate_sigma(T).masks:
         g = realize_support(T, SupportSet.from_mask(m))
         assert support_mask(apply(T, g)) == m
+
+
+@settings(max_examples=80)
+@given(st.one_of(operators(max_n=6), sparse_operators()))
+def test_realizer_decides_achievability_as_sigma_does(T):
+    masks = enumerate_sigma(T).masks
+    for m in range(1 << T.n):
+        try:
+            g = realize_support(T, SupportSet.from_mask(m))
+        except UnachievableSupportError:
+            assert m not in masks
+        else:
+            assert m in masks
+            assert support_mask(apply(T, g)) == m
 
 
 def test_item_and_elimination_stay_in_lowest_terms():

@@ -11,6 +11,8 @@ from semiband.errors import BudgetExceededError, UnachievableSupportError, Valid
 from semiband.interval import (
     EMPTY_REGION,
     FULL_REGION,
+    _mask_region,
+    _range_enumeration,
     FiniteRankOp,
     IntervalRegion,
     PiecewisePoly,
@@ -253,6 +255,29 @@ def test_range_supports_two_sided_oracle():
         for region in table:
             g = realize_range_support(T, region)
             assert pp_support(frop_apply(T, g)) == region
+
+
+def test_range_realizer_decides_achievability_as_the_enumeration_does():
+    rng = random.Random(22)
+    ops = [frop_pair(), make_full_support_projection()]
+    ops += [_random_frop(rng, terms=1 + i % 2) for i in range(12)]
+    unachievable = 0
+    for T in ops:
+        segs, masks = _range_enumeration(T)
+        for m in range(1 << len(segs)):
+            region = _mask_region(segs, m)
+            try:
+                g = realize_range_support(T, region)
+            except UnachievableSupportError:
+                assert m not in masks
+                unachievable += 1
+            else:
+                assert m in masks
+                assert pp_support(frop_apply(T, g)) == region
+    assert unachievable
+    # a region that is not a union of pieces is refused before any realizer
+    with pytest.raises(UnachievableSupportError):
+        realize_range_support(frop_pair(), IntervalRegion.of((0, Fraction(1, 3))))
 
 
 def _rank(rows, dim):

@@ -1,16 +1,26 @@
 """The symbolic SBP/SCP oracle against the decision procedures, on the sparse
 family and on operators over large prime denominators; its invariance
 under scaling; replay of every stratum realizer; the sampled oracle past
-the int64 range; and the sparse family against a literal Fraction
-canonicalization."""
+the int64 range and its contract (determinism, silence on WCE forms,
+antecedent and replay of every hit); the sparse family against a literal
+Fraction canonicalization; and a package that needs only the standard
+library."""
 
+import ast
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from semiband import AtomicSpace, Operator, Witness, apply, is_sbp, is_scp, replay_witness
-from semiband.atomic import support_mask
-from semiband.generators import gen_random_wce
+from semiband.atomic import band_contains, is_disjoint, support_mask
+from semiband.generators import gen_random_operator, gen_random_wce, random_partition
 from semiband.oracles import (
     _input_strata,
     _int_rows,
@@ -18,6 +28,7 @@ from semiband.oracles import (
     sbp_scp_exhaustive,
     small_matrix_family,
 )
+from semiband.wce import make_averaging
 
 PRIMES = (65537, 2**31 - 1)
 
@@ -135,3 +146,91 @@ def test_sparse_family_matches_the_literal_fraction_canonicalization():
     )
     counts = [len(small_matrix_family(n, k)) for n, k in ((1, 1), (2, 4), (3, 3), (4, 3))]
     assert counts == [4, 136, 466, 789]
+
+
+# -- the sampled oracle's contract ----------------------------------------------
+
+
+def _violators() -> list[Operator]:
+    ns, densities = range(2, 9), (0.4, 0.7, 1.0)
+    ops = [gen_random_operator(5100 + i, ns[i % len(ns)], densities[i % 3]) for i in range(40)]
+    return ops + _prime_operators(40)
+
+
+def test_sampler_is_deterministic_per_seed():
+    for T in _violators()[:20] + [gen_random_wce(3, 5).to_operator()]:
+        for which in ("sbp", "scp"):
+            first = sampled_implication_check(T, which, 500, 17)
+            assert sampled_implication_check(T, which, 500, 17) == first
+
+
+def test_sampler_is_silent_on_wce_forms_and_averaging():
+    ops = [gen_random_wce(i, 1 + i % 12).to_operator() for i in range(100)]
+    rng = random.Random("sampler-averaging")
+    ops += [make_averaging(n, random_partition(rng, n)) for n in range(1, 13)]
+    for i, T in enumerate(ops):
+        assert is_sbp(T).holds
+        for which in ("sbp", "scp"):
+            assert sampled_implication_check(T, which, 2000, i) is None, (which, T.rows)
+
+
+def test_sampled_hits_satisfy_the_antecedent_and_replay():
+    kinds = {"sbp": "SBP-violation", "scp": "SCP-violation"}
+    hits = 0
+    for i, T in enumerate(_violators()):
+        for which, kind in kinds.items():
+            hit = sampled_implication_check(T, which, 2000, i)
+            if hit is None:
+                continue
+            hits += 1
+            f, g = hit
+            tg = apply(T, g)
+            assert is_disjoint(f, tg) if which == "sbp" else band_contains(tg, f)
+            assert replay_witness(T, Witness(kind, f, g, "sampled"))
+    assert hits > 60
+
+
+def test_sampler_rejects_an_unknown_law_before_drawing():
+    T = gen_random_operator(1, 3, 1.0)
+    for pairs in (0, 10):
+        with pytest.raises(ValueError):
+            sampled_implication_check(T, "bp", pairs, 1)
+
+
+# -- the package needs only the standard library ---------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_no_module_imports_numpy():
+    for path in sorted((ROOT / "src" / "semiband").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "numpy"], path.name
+    # tomllib needs Python 3.11, and the package supports 3.10
+    assert re.findall(r"^dependencies = .*$", (ROOT / "pyproject.toml").read_text(), re.M) == [
+        "dependencies = []"
+    ]
+
+
+def test_sampler_runs_where_numpy_cannot_be_imported():
+    # a None entry in sys.modules makes every import of numpy raise
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import semiband.selftest\n"
+        "from semiband import AtomicSpace, Operator\n"
+        "from semiband.oracles import sampled_implication_check\n"
+        "T = Operator.from_rows(AtomicSpace.lp(2, 2), [[1, 1], [0, 1]])\n"
+        "print(sampled_implication_check(T, 'sbp', 1000, 1) is not None)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert out.stdout == "True\n"

@@ -51,6 +51,31 @@ def vec_scale(c, f: Vector) -> Vector:
     return tuple(c * a for a in f)
 
 
+#: Row k: for each byte value, the atoms (1-indexed) its set bits stand for
+#: as byte k of a mask.  Later bytes shift row 0.
+_BYTE_ATOMS = tuple(
+    tuple(tuple(8 * k + i + 1 for i in range(8) if b >> i & 1) for b in range(256))
+    for k in range(4)
+)
+
+
+def mask_atoms(mask: int) -> list[int]:
+    """The atoms (1-indexed, ascending) of a bitmask, read eight bits at a
+    time: bit i - 1 stands for atom i."""
+    if mask < 0:
+        raise ValueError("a support mask is nonnegative")
+    out: list[int] = []
+    k = 0
+    while mask:
+        if k < len(_BYTE_ATOMS):
+            out += _BYTE_ATOMS[k][mask & 255]
+        else:
+            out += [8 * k + a for a in _BYTE_ATOMS[0][mask & 255]]
+        mask >>= 8
+        k += 1
+    return out
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """A subset of the atoms {1..n}, with bitset semantics; ``<=`` is
@@ -64,14 +89,7 @@ class SupportSet:
 
     @staticmethod
     def from_mask(mask: int) -> "SupportSet":
-        atoms = set()
-        i = 1
-        while mask:
-            if mask & 1:
-                atoms.add(i)
-            mask >>= 1
-            i += 1
-        return SupportSet(frozenset(atoms))
+        return SupportSet(frozenset(mask_atoms(mask)))
 
     @property
     def mask(self) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError
 
@@ -168,19 +168,34 @@ def union_mask(items: list[Item]) -> int:
     return m
 
 
+def block_groups(items: list[Item]) -> list[list[Item]]:
+    """The items split into groups whose masks are pairwise disjoint, each
+    as small as that allows: an item joins, and merges, every group its
+    mask meets.  The span is the direct sum of the groups' spans."""
+    groups: list[tuple[int, list[Item]]] = []
+    for it in items:
+        mask, members, apart = it.mask, [it], []
+        for g in groups:
+            if g[0] & mask:
+                mask |= g[0]
+                members += g[1]
+            else:
+                apart.append(g)
+        groups = [*apart, (mask, members)]
+    return [members for _, members in groups]
+
+
 def support_masks(items: list[Item], blocks: Blocks) -> tuple[frozenset[int], frozenset[int]]:
     """The block masks of all elements of span(items), and the masks at
     which the span of the elements supported inside is one-dimensional.
 
-    When the span has as many dimensions as live coordinates it holds every
-    vector on them, so every set of live blocks is a support and the
-    one-dimensional masks are the live blocks with one live coordinate.
-    Otherwise the sets are found by constraining blocks in ascending bit
-    order, skipping blocks the current span already misses; the span
-    constrained to vanish off a mask is the same whichever path reached it.
-    Masks do not depend on scale, so the passengers and denominators are
-    dropped first.  A span live on more than ``MAX_SUPPORT_BLOCKS`` blocks
-    is refused.
+    The span is the direct sum of its block groups' spans (``block_groups``),
+    so its masks are the unions of one mask of each group.  The elements
+    supported inside a mask are the direct sum of those inside its part in
+    each group, so the one-dimensional masks are those of the groups.  The
+    groups' masks are disjoint, so the unions are distinct and are built
+    as one list.  A span live on more than ``MAX_SUPPORT_BLOCKS`` blocks in
+    all is refused.
 
     A one-dimensional mask is minimal among the nonzero supports.  When
     every block is one coordinate (an atom) the converse holds too: two
@@ -195,6 +210,28 @@ def support_masks(items: list[Item], blocks: Blocks) -> tuple[frozenset[int], fr
             f"support enumeration over {full.bit_count()} live blocks exceeds "
             f"the budget of {MAX_SUPPORT_BLOCKS}"
         )
+    masks = [0]
+    lines: list[int] = []
+    for group in block_groups(items):
+        gmasks, glines = _group_masks(group, blocks)
+        masks = [m | g for g in gmasks for m in masks]
+        lines += glines
+    return frozenset(masks), frozenset(lines)
+
+
+def _group_masks(items: list[Item], blocks: Blocks) -> tuple[Collection[int], Collection[int]]:
+    """``support_masks`` of one block group.
+
+    When the span has as many dimensions as live coordinates it holds every
+    vector on them, so every set of live blocks is a support and the
+    one-dimensional masks are the live blocks with one live coordinate.
+    Otherwise the sets are found by constraining blocks in ascending bit
+    order, skipping blocks the current span already misses; the span
+    constrained to vanish off a mask is the same whichever path reached it.
+    Masks do not depend on scale, so the passengers and denominators are
+    dropped first.
+    """
+    full = union_mask(items)
     order = [b for b in blocks.coords if full & b]
     live = 0
     for it in items:
@@ -206,7 +243,7 @@ def support_masks(items: list[Item], blocks: Blocks) -> tuple[frozenset[int], fr
         for b in order:
             masks += [m | b for m in masks]
         single = [b for b in order if sum(live >> c & 1 for c in blocks.coords[b]) == 1]
-        return frozenset(masks), frozenset(single)
+        return masks, single
     results: set[int] = set()
     lines: set[int] = set()
 
@@ -221,7 +258,7 @@ def support_masks(items: list[Item], blocks: Blocks) -> tuple[frozenset[int], fr
                 rec(constrain(cur, bit, blocks), idx + 1)
 
     rec([Item(it.vec, it.mask, (), 1) for it in items], 0)
-    return frozenset(results), frozenset(lines)
+    return results, lines
 
 
 def first_violation(

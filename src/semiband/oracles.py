@@ -4,10 +4,10 @@ The decision oracles reuse neither the reductions from ``operators`` nor
 the support engine (``sigma_realization_check`` has the engine's table as
 its subject).  The symbolic oracle evaluates the defining implications on
 concrete vectors built by kernel analysis of input strata; it runs on the
-integer columns of a positive multiple of T and on support masks, which is
+integer rows of a positive multiple of T and on support masks, which is
 all the implications read.  The sampled oracles draw random pairs that can
 confirm a violation but never overturn one.  The atomic sampler draws
-with ``random.Random`` and takes its images on the same integer columns,
+with ``random.Random`` and takes its images on the same integer rows,
 stopping at the first confirmed violation.  The module, like the rest of
 the package, needs only the standard library.
 """
@@ -19,7 +19,7 @@ import math
 import random
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .atomic import Vector, band_contains, is_disjoint, support_mask
 from .interval import (
@@ -56,13 +56,9 @@ def _mask(v: Sequence[int]) -> int:
     return m
 
 
-def _image(cols: list[tuple[int, ...]], f: Sequence[int]) -> list[int]:
-    """(d*T) f, summed over the columns that f uses."""
-    acc = [0] * len(cols)
-    for j, c in enumerate(f):
-        if c:
-            acc = [x + c * y for x, y in zip(acc, cols[j])]
-    return acc
+def _image(rows: list[list[int]], f: Sequence[int]) -> list[int]:
+    """(d*T) f, one dot product per integer row of d*T."""
+    return [sum(map(mul, row, f)) for row in rows]
 
 
 def _generic_in_span(pairs: list[tuple[Sequence[int], Sequence[int]]], n: int) -> list[int]:
@@ -86,22 +82,22 @@ def _generic_in_span(pairs: list[tuple[Sequence[int], Sequence[int]]], n: int) -
     return acc_p
 
 
-def _input_strata(cols: list[tuple[int, ...]]) -> dict[int, list[int]]:
+def _input_strata(rows: list[list[int]]) -> dict[int, list[int]]:
     """For every input-support pattern, the achievable image supports with
     a concrete integer realizer each: kernel analysis of the coefficient
-    space.  ``cols`` are the integer columns of d*T; keys are image masks."""
-    n = len(cols)
-    nzcols = [j for j in range(n) if any(cols[j])]
-    exact = [[Fraction(x) for x in c] for c in cols]
+    space.  ``rows`` are the integer rows of d*T; keys are image masks."""
+    n = len(rows)
+    nzcols = [j for j in range(n) if any(row[j] for row in rows)]
+    exact = [[Fraction(x) for x in row] for row in rows]
     strata: dict[int, list[int]] = {0: [0] * n}
     for r in range(1, len(nzcols) + 1):
         for combo in itertools.combinations(nzcols, r):
-            hit_rows = [i for i in range(n) if any(cols[j][i] for j in combo)]
+            hit_rows = [i for i in range(n) if any(rows[i][j] for j in combo)]
             for zr in range(len(hit_rows) + 1):
                 for zero_rows in itertools.combinations(hit_rows, zr):
                     if zero_rows:
-                        rows = [[exact[j][i] for j in combo] for i in zero_rows]
-                        coeff_basis = [_integral(c) for c in nullspace(rows, r)]
+                        sub = [[exact[i][j] for j in combo] for i in zero_rows]
+                        coeff_basis = [_integral(c) for c in nullspace(sub, r)]
                     else:
                         coeff_basis = [[int(t == s) for t in range(r)] for s in range(r)]
                     pairs = []
@@ -110,24 +106,25 @@ def _input_strata(cols: list[tuple[int, ...]]) -> dict[int, list[int]]:
                         g = [0] * n
                         for coef, j in zip(c, combo):
                             g[j] = coef
-                        v = _image(cols, g)
+                        v = _image(rows, g)
                         key |= _mask(v)
                         pairs.append((v, g))
                     if key in strata:
                         continue
                     pre = _generic_in_span(pairs, n)
-                    if _mask(_image(cols, pre)) != key:  # pragma: no cover
+                    if _mask(_image(rows, pre)) != key:  # pragma: no cover
                         raise AssertionError("stratum realizer failed to replay")
                     strata[key] = pre
     return strata
 
 
-def _generic_per_pattern(cols: list[tuple[int, ...]]) -> dict[int, list[int]]:
+def _generic_per_pattern(rows: list[list[int]]) -> dict[int, list[int]]:
     """One generic representative f per input-support pattern, maximizing
     the image support within the pattern.  A column whose image support the
     earlier columns already cover gets coefficient zero, so supp f can be
     smaller than its pattern."""
-    n = len(cols)
+    n = len(rows)
+    cols = list(zip(*rows))
     nzcols = [j for j in range(n) if any(cols[j])]
     units = [[int(i == j) for i in range(n)] for j in range(n)]
     reps: dict[int, list[int]] = {0: [0] * n}
@@ -145,15 +142,15 @@ def sbp_scp_exhaustive(T: Operator) -> tuple[bool, bool]:
 
     Both implications read supports only: f is disjoint from Tg iff
     supp f & supp Tg == 0, and Tg's band contains f iff
-    supp f & ~supp Tg == 0.  So everything runs on the integer columns of
+    supp f & ~supp Tg == 0.  So everything runs on the integer rows of
     d*T and on support masks."""
-    cols = list(zip(*_int_rows(T)))
+    rows = _int_rows(T)
     products = {
-        (_mask(f), _mask(_image(cols, f))) for f in _generic_per_pattern(cols).values()
+        (_mask(f), _mask(_image(rows, f))) for f in _generic_per_pattern(rows).values()
     }
     sbp = True
     scp = True
-    for tg in _input_strata(cols):
+    for tg in _input_strata(rows):
         for f, tf in products:
             if not f & tg and tf & tg:
                 sbp = False
@@ -226,22 +223,22 @@ def sampled_implication_check(
     and return the first whose consequent fails, re-verified with rationals,
     or None.  The entries of g, and of f on the atoms the antecedent allows
     (off supp Tg for ``"sbp"``, inside it for ``"scp"``), come from
-    ``_DRAWS``; images are taken on the integer columns of d*T."""
+    ``_DRAWS``; images are taken on the integer rows of d*T."""
     if which not in ("sbp", "scp"):
         raise ValueError("which must be 'sbp' or 'scp'")
     inside = which == "scp"
     law = band_contains if inside else is_disjoint  # law(Tg, f): the antecedent
     n = T.n
-    cols = list(zip(*_int_rows(T)))
+    rows = _int_rows(T)
     rng = random.Random(f"sampled-oracle:{seed}")
     for _ in range(pairs):
         g = rng.choices(_DRAWS, k=n)
-        tg = _mask(_image(cols, g))
+        tg = _mask(_image(rows, g))
         breach = ~tg if inside else tg
         if not ~breach & ((1 << n) - 1):
             continue  # the antecedent forces f = 0
         f = [0 if breach >> i & 1 else x for i, x in enumerate(rng.choices(_DRAWS, k=n))]
-        if _mask(_image(cols, f)) & breach:
+        if _mask(_image(rows, f)) & breach:
             f, g = tuple(map(Fraction, f)), tuple(map(Fraction, g))
             tf, tgv = apply(T, f), apply(T, g)
             if law(tgv, f) and not law(tgv, tf):
@@ -306,6 +303,8 @@ def sampled_frop_check(
 ) -> tuple[PiecewisePoly, PiecewisePoly] | None:
     """Random antecedent-satisfying pairs for the interval model; returns a
     violating pair or None."""
+    if which not in ("sbp", "scp"):
+        raise ValueError("which must be 'sbp' or 'scp'")
     rng = random.Random(f"frop-oracle:{seed}")
     for _ in range(pairs):
         g = random_piecewise(rng)
@@ -316,10 +315,8 @@ def sampled_frop_check(
             f = pp_restrict(f_raw, s.complement())
             if not pp_disjoint(frop_apply(T, f), tg):
                 return f, g
-        elif which == "scp":
+        else:
             f = pp_restrict(f_raw, s)
             if not pp_band_contains(tg, frop_apply(T, f)):
                 return f, g
-        else:
-            raise ValueError("which must be 'sbp' or 'scp'")
     return None

@@ -11,11 +11,11 @@ Schemas (all versioned with "schema": 1):
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .atomic import INF, AtomicSpace, SupportSet, Vector
+from .atomic import INF, AtomicSpace, SupportSet, Vector, mask_atoms
 from .errors import ValidationError
 from .interval import (
     FiniteRankOp,
@@ -135,7 +135,7 @@ def support_to_json(s: SupportSet) -> list[int]:
 
 def mask_to_json(m: int) -> list[int]:
     """The atoms of a bitmask support, ascending."""
-    return [i + 1 for i in range(m.bit_length()) if m >> i & 1]
+    return mask_atoms(m)
 
 
 def witness_to_json(w: Witness) -> dict:
@@ -366,5 +366,69 @@ def parse_probe_report(data: dict):
     return out
 
 
+# -- the report writer -------------------------------------------------------
+
+#: How each JSON scalar a report can hold is written, by exact type (a bool
+#: is not written as an int).
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+#: Lists whose elements are all of one of these types go on their lines
+#: with one join.
+_FLAT = {frozenset([int]): int.__repr__, frozenset([str]): _quote}
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The bytes of ``json.dumps(obj, indent=2) + "\\n"``, written into one
+    list and joined once.
+
+    Strings and keys are escaped by the encoder ``json.dumps`` uses.  Values
+    no report holds (floats, tuples, non-str keys, other types) raise
+    ``TypeError``, so no input is ever written differently.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, nl: str, out: list[str]) -> None:
+    """Append ``o`` to ``out``; ``nl`` is a newline and the indent of the
+    line ``o`` starts on.  Each member is followed by a comma, and the last
+    comma is overwritten by the closing line."""
+    t = type(o)
+    if t is list:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        flat = _FLAT.get(frozenset(map(type, o)))
+        if flat is not None:
+            out.append("[" + inner + ("," + inner).join(map(flat, o)) + nl + "]")
+            return
+        out.append("[")
+        for v in o:
+            out.append(inner)
+            _write(v, inner, out)
+            out.append(",")
+        out[-1] = nl + "]"
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        out.append("{")
+        for k, v in o.items():
+            if type(k) is not str:
+                raise TypeError(f"report keys are str, not {type(k).__name__}")
+            out.append(inner + _quote(k) + ": ")
+            _write(v, inner, out)
+            out.append(",")
+        out[-1] = nl + "}"
+    elif t in _SCALARS:
+        out.append(_SCALARS[t](o))
+    else:
+        raise TypeError(f"a report holds no {t.__name__}")

@@ -7,6 +7,7 @@ budget, engine state built once per operator, and oracles that stay
 independent of the engine."""
 
 import ast
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -35,7 +36,7 @@ from semiband.atomic import support_mask
 from semiband.cli import main
 from semiband.errors import UnachievableSupportError
 from semiband.interval import make_sbp_not_scp_operator
-from semiband.operators import ClosureReport, Witness
+from semiband.operators import ClosureReport, Witness, _column_space
 from semiband.oracles import sbp_scp_exhaustive
 from semiband.serialize import build_analysis_report, build_interval_report, parse_operator
 
@@ -61,18 +62,57 @@ PRIMES = [10007, 65537, 999983, 2147483647]
 LARGE = st.builds(Fraction, st.integers(-(10**6), 10**6), st.sampled_from(PRIMES))
 
 
+def _low_rank(draw, n, entry):
+    """A product of n x r and r x n factors over zero-heavy entries."""
+    maybe_zero = st.one_of(st.just(Fraction(0)), entry)
+    r = draw(st.integers(1, min(n, 4)))
+    U = draw(st.lists(st.lists(maybe_zero, min_size=r, max_size=r), min_size=n, max_size=n))
+    V = draw(st.lists(st.lists(maybe_zero, min_size=n, max_size=n), min_size=r, max_size=r))
+    return [[sum(U[i][k] * V[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+
+
+def _full_rank(draw, n, entry):
+    """L U, with L unit lower triangular and U upper triangular with a
+    nonzero diagonal."""
+    L = [[draw(entry) if j < i else Fraction(i == j) for j in range(n)] for i in range(n)]
+    U = [
+        [draw(entry) if j > i else draw(entry.filter(bool)) if j == i else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    return [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def direct_sums(draw, entry=SMALL, max_n=8):
+    """A block-diagonal operator of 2-3 low-rank or full-rank parts with its
+    atoms relabeled, and each part with the atoms (0-based) it went to."""
+    k = draw(st.integers(2, 3))
+    sizes = [draw(st.integers(1, max_n // k)) for _ in range(k)]
+    n = sum(sizes)
+    where = draw(st.permutations(range(n)))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    parts = []
+    for m in sizes:
+        block = draw(st.sampled_from([_low_rank, _full_rank]))(draw, m, entry)
+        at, where = where[:m], where[m:]
+        for i in range(m):
+            for j in range(m):
+                rows[at[i]][at[j]] = block[i][j]
+        parts.append((Operator.from_rows(AtomicSpace.lp(m, 2), block), at))
+    return Operator.from_rows(AtomicSpace.lp(n, 2), rows), parts
+
+
 @st.composite
 def operators(draw, entry=SMALL, max_n=8):
-    """Low-rank products over zero-heavy factors, WCE forms, and WCE forms
-    with one off-block entry."""
+    """Low-rank products over zero-heavy factors, WCE forms, WCE forms with
+    one off-block entry, and direct sums of low-rank and full-rank parts."""
     n = draw(st.integers(2, max_n))
-    kind = draw(st.sampled_from(["low-rank", "wce", "perturbed"]))
+    kind = draw(st.sampled_from(["low-rank", "wce", "perturbed", "direct-sum"]))
     maybe_zero = st.one_of(st.just(Fraction(0)), entry)
+    if kind == "direct-sum":
+        return draw(direct_sums(entry, max_n))[0]
     if kind == "low-rank":
-        r = draw(st.integers(1, min(n, 4)))
-        U = draw(st.lists(st.lists(maybe_zero, min_size=r, max_size=r), min_size=n, max_size=n))
-        V = draw(st.lists(st.lists(maybe_zero, min_size=n, max_size=n), min_size=r, max_size=r))
-        rows = [[sum(U[i][k] * V[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+        rows = _low_rank(draw, n, entry)
     else:
         # block of each atom, -1 for atoms outside every block
         label = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
@@ -141,6 +181,27 @@ def test_minimal_supports_literal(T):
     literal = [m for m in nonempty if not any(o != m and o & m == o for o in nonempty)]
     literal.sort(key=lambda m: (min(SupportSet.from_mask(m).atoms), m))
     assert minimal_supports(sigma) == tuple(SupportSet.from_mask(m) for m in literal)
+
+
+def _moved(mask: int, at) -> int:
+    """A part's mask on the atoms the part went to."""
+    return sum(1 << at[i] for i in range(len(at)) if mask >> i & 1)
+
+
+@settings(max_examples=80)
+@given(direct_sums())
+def test_sigma_of_a_direct_sum_is_made_of_its_parts(case):
+    T, parts = case
+    sigma = enumerate_sigma(T)
+    tables = [[_moved(m, at) for m in enumerate_sigma(P).masks] for P, at in parts]
+    assert sigma.masks == {sum(pick) for pick in itertools.product(*tables)}
+    assert set(sigma.minimal) == {_moved(m, at) for P, at in parts for m in enumerate_sigma(P).minimal}
+    for m in sigma.masks:
+        g = realize_support(T, SupportSet.from_mask(m))
+        assert support_mask(apply(T, g)) == m
+    # each nonzero part spans one block group or more of its own
+    groups = linalg.block_groups(_column_space(T))
+    assert len(groups) >= sum(1 for P, _ in parts if any(map(any, P.rows)))
 
 
 @st.composite

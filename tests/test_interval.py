@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -157,6 +158,29 @@ def test_frop_range_supports():
     assert frop_range_supports(FiniteRankOp.of()) == (EMPTY_REGION,)
 
 
+def test_block_operator_range_supports_are_the_unions_of_blocks():
+    # one term per block of interleaved pieces, its kernel and image of
+    # degree one on every piece of the block: each block is a group of its
+    # own, and the range supports are all 2^rank unions of blocks
+    pieces, rank = 9, 3
+    grid = [Fraction(i, pieces) for i in range(pieces + 1)]
+    blocks = [range(j, pieces, rank) for j in range(rank)]
+
+    def on(block, c0, c1):
+        return PiecewisePoly.from_pieces(
+            (grid[i], grid[i + 1], (c0 + i, c1) if i in block else ()) for i in range(pieces)
+        )
+
+    T = FiniteRankOp.of(*((on(b, 1, 1), on(b, 2, -3)) for b in blocks))
+    unions = {
+        IntervalRegion.of(*((grid[i], grid[i + 1]) for b in pick for i in b))
+        for r in range(rank + 1)
+        for pick in itertools.combinations(blocks, r)
+    }
+    supports = frop_range_supports(T)
+    assert len(supports) == 2**rank and set(supports) == unions
+
+
 def test_range_supports_complement_escape():
     # the relative complement [1/2,1] of [0,1/2] in [0,1] is not attained:
     # the nonatomic model does not obey the complement closure law
@@ -220,6 +244,12 @@ def test_sampled_oracle_agrees_with_decisions():
                 assert not verdict.holds
     bad = rank_one_frop(PiecewisePoly.indicator(HALF, 1), PiecewisePoly.indicator(0, HALF))
     assert sampled_frop_check(bad, "sbp", 250, seed=9) is not None
+
+
+def test_frop_sampler_rejects_an_unknown_law_before_drawing():
+    for pairs in (0, 10):
+        with pytest.raises(ValueError):
+            sampled_frop_check(make_sbp_not_scp_operator(), "bp", pairs, 1)
 
 
 def test_image_support_inside_image_union():

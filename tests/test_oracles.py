@@ -99,7 +99,7 @@ def test_oracle_verdict_is_invariant_under_scaling():
 
 def test_every_stratum_realizer_replays_to_its_key():
     for T in _family(2) + _prime_operators(60):
-        strata = _input_strata(list(zip(*_int_rows(T))))
+        strata = _input_strata(_int_rows(T))
         assert 0 in strata
         for key, pre in strata.items():
             assert all(isinstance(x, int) for x in pre)

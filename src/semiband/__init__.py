@@ -52,7 +52,6 @@ from .operators import (
     SigmaTable,
     Witness,
     apply,
-    compose,
     enumerate_sigma,
     is_band_preserving,
     is_beta,

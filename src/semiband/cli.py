@@ -4,7 +4,8 @@ Subcommands: ``analyze`` (atomic operator file), ``interval`` (finite-rank
 operator file), ``probe`` (norm-one projection search), ``selftest``.
 
 Exit codes: 0 success, 1 self-test failure, 2 input error, 3 budget
-exceeded.  All inputs and outputs are UTF-8 JSON with rationals as strings.
+exceeded.  Any other exception is a defect and propagates.  All inputs and
+outputs are UTF-8 JSON with rationals as strings.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceededError, SemibandError, ValidationError
+from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .serialize import (
     build_analysis_report,
     build_interval_report,
@@ -49,43 +50,20 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        data = _load_json(args.input)
-        T = parse_operator(data)
-    except ValidationError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    T = parse_operator(_load_json(args.input))
     if T.n > args.max_atoms:
         print(
             f"budget exceeded: {T.n} atoms > --max-atoms {args.max_atoms}",
             file=sys.stderr,
         )
         return EXIT_BUDGET
-    try:
-        report = build_analysis_report(T)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    _emit(report, args.report)
+    _emit(build_analysis_report(T), args.report)
     return EXIT_OK
 
 
 def cmd_interval(args) -> int:
-    try:
-        data = _load_json(args.input)
-        T = parse_frop(data)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValidationError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = build_interval_report(T)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    _emit(report, args.report)
+    T = parse_frop(_load_json(args.input))
+    _emit(build_interval_report(T), args.report)
     return EXIT_OK
 
 
@@ -108,7 +86,7 @@ def cmd_probe(args) -> int:
     try:
         dims = _parse_dims(args.dims)
         findings = probe_norm_one_projections(args.p, dims, budget=args.budget)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:  # from the --dims spec or the exponent
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = build_probe_report(args.p, dims, args.budget, findings)
@@ -169,7 +147,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except SemibandError as exc:
+    except (ValidationError, DimensionMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -26,10 +26,6 @@ MAX_PIECES = 64
 Poly = tuple[Fraction, ...]  # coefficients in ascending powers of t, stripped
 
 
-def poly(*coeffs) -> Poly:
-    return _strip(tuple(Fraction(c) for c in coeffs))
-
-
 def _strip(c: Poly) -> Poly:
     n = len(c)
     while n and c[n - 1] == 0:
@@ -334,7 +330,10 @@ def frop_moments(T: FiniteRankOp, f: PiecewisePoly) -> tuple[Fraction, ...]:
 
 
 def nullspace(rows: list[tuple[Fraction, ...]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : R x = 0}, normalized with free variables set to 1."""
+    """Basis of {x : R x = 0}, normalized with free variables set to 1.
+
+    Serves ``frop_image_subspace`` and the oracles; the decisions and
+    their witnesses run on the engine in ``linalg``."""
     mat = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
@@ -428,7 +427,7 @@ def _piece_coordinates(
 
 
 @linalg.per_operator
-def _range_enumeration(T: FiniteRankOp) -> tuple[list[tuple[Fraction, Fraction]], frozenset[int]]:
+def _range_enumeration(T: FiniteRankOp) -> frozenset[int]:
     """All piece-masks of supports attained by range elements; the range
     is the span of the bump images.  A piece is a block of several
     coordinates, so the engine's one-dimensional masks are not all the
@@ -436,7 +435,7 @@ def _range_enumeration(T: FiniteRankOp) -> tuple[list[tuple[Fraction, Fraction]]
     bumps, blocks = _bumps(T)
     items = linalg.echelonize(((b.image, ()) for b in bumps), blocks)
     masks, _ = linalg.support_masks(items, blocks)
-    return _segments(T), masks
+    return masks
 
 
 def _mask_region(segs, mask: int) -> IntervalRegion:
@@ -445,8 +444,8 @@ def _mask_region(segs, mask: int) -> IntervalRegion:
 
 def frop_range_supports(T: FiniteRankOp) -> tuple[IntervalRegion, ...]:
     """All supports attainable by range elements, as canonical regions."""
-    segs, masks = _range_enumeration(T)
-    regions = {_mask_region(segs, m) for m in masks}
+    segs = _segments(T)
+    regions = {_mask_region(segs, m) for m in _range_enumeration(T)}
     return tuple(sorted(regions, key=lambda r: (r.measure(), r.intervals)))
 
 
@@ -476,38 +475,38 @@ def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
     return bumps, blocks
 
 
+def _bump_items(T: FiniteRankOp) -> list[linalg.Item]:
+    """The bump images as engine items in bump order, each carrying its
+    bump's unit coefficient vector.  They are not echelonized: constraining
+    them pivots on the first live bump, so the items left are the kernel
+    vectors with one free bump at 1 and the other free bumps at 0.  Built
+    per call, not kept: the passengers are n x n for n bumps."""
+    bumps, blocks = _bumps(T)
+    zeros = (0,) * len(bumps)
+    items = []
+    for k, b in enumerate(bumps):
+        it = linalg.item(b.image, (), blocks)
+        items.append(it._replace(pre=zeros[:k] + (it.den,) + zeros[k + 1:]))
+    return items
+
+
 def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
-    """A function g with supp(Tg) equal to the region, exactly; raises if
-    the region is not a union of pieces or not achievable."""
+    """A function g with supp(Tg) equal to the region, exactly: a
+    combination of the bumps realized by the engine; raises if the region
+    is not a union of pieces or not achievable."""
     segs = _segments(T)
     target = 0
     for pi, (lo, hi) in enumerate(segs):
         if S.contains(IntervalRegion.of((lo, hi))):
             target |= 1 << pi
-    if _mask_region(segs, target) != S:
-        raise UnachievableSupportError(f"range support {S!r} not achievable")
-    if target == 0:
-        return PiecewisePoly.zero()
     bumps, blocks = _bumps(T)
-    # combinations of bumps whose image vanishes off the target
-    rows = [
-        tuple(b.image[c] for b in bumps)
-        for bit, coords in blocks.coords.items()
-        if not target & bit
-        for c in coords
-    ]
-    items = []
-    for y in nullspace(rows, len(bumps)):
-        v = tuple(
-            sum((yb * b.image[c] for yb, b in zip(y, bumps) if yb), Fraction(0))
-            for c in range(len(blocks.bits))
-        )
-        items.append(linalg.item(v, y, blocks))
-    image, coeffs = linalg.combine_generic(items, blocks)
-    if blocks.mask(image) != target:
+    hit = None
+    if _mask_region(segs, target) == S:
+        hit = linalg.realize(_bump_items(T), target, blocks)
+    if hit is None:
         raise UnachievableSupportError(f"range support {S!r} not achievable")
     per_piece: list[list[Fraction]] = [[] for _ in segs]
-    for b, c in zip(bumps, coeffs):
+    for b, c in zip(bumps, hit[1]):
         per_piece[b.piece].append(c)
     return PiecewisePoly.from_pieces((lo, hi, cs) for (lo, hi), cs in zip(segs, per_piece))
 
@@ -531,13 +530,13 @@ class FropCheck:
 def _first_bump_violation(T: FiniteRankOp, inside: bool) -> tuple[_Bump, PiecewisePoly] | None:
     """(bump, g) for the first support S = supp(Tg) and bump that break
     the semi law ``linalg.first_violation`` names by ``inside``."""
-    segs, masks = _range_enumeration(T)
     bumps, _ = _bumps(T)
-    hit = linalg.first_violation(masks, [(1 << b.piece, b.mask) for b in bumps], inside)
+    sources = [(1 << b.piece, b.mask) for b in bumps]
+    hit = linalg.first_violation(_range_enumeration(T), sources, inside)
     if hit is None:
         return None
     mask, k = hit
-    return bumps[k], realize_range_support(T, _mask_region(segs, mask))
+    return bumps[k], realize_range_support(T, _mask_region(_segments(T), mask))
 
 
 def frop_is_sbp(T: FiniteRankOp) -> FropCheck:

@@ -306,3 +306,22 @@ def combine_generic(items: list[Item], blocks: Blocks) -> tuple[tuple[Fraction, 
         else:  # pragma: no cover - impossible by the counting argument
             raise AssertionError("no cancellation-free combination found")
     return fractions(acc.vec, acc.den), fractions(acc.pre, acc.den)
+
+
+def realize(
+    items: list[Item], target: int, blocks: Blocks
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
+    """``combine_generic`` of the span constrained to vanish on every live
+    block outside ``target``, or None when that span is not live on all of
+    ``target`` (no element of span(items) has it as its support).
+
+    The result depends on the items' order, since ``constrain`` pivots on
+    the first live item at each coordinate.
+    """
+    live = union_mask(items)
+    for bit in blocks.coords:
+        if live & ~target & bit:
+            items = constrain(items, bit, blocks)
+    if union_mask(items) != target:
+        return None
+    return combine_generic(items, blocks)

@@ -99,16 +99,6 @@ def apply(T: Operator, f: Vector) -> Vector:
     return tuple(sum(c * x for c, x in zip(row, f)) for row in T.rows)
 
 
-def compose(A: Operator, B: Operator) -> Operator:
-    """The product A B (apply B first)."""
-    if A.n != B.n:
-        raise DimensionMismatchError("operators act on different spaces")
-    n = A.n
-    cols = [apply(A, B.column(j)) for j in range(1, n + 1)]
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return Operator(A.space, rows)
-
-
 def is_projection(T: Operator) -> bool:
     """Whether T T = T exactly.
 
@@ -194,21 +184,22 @@ def enumerate_sigma(T: Operator) -> SigmaTable:
     return SigmaTable(T.n, masks, linalg.union_mask(items), minimal)
 
 
+def _realize(T: Operator, mask: int) -> Vector:
+    """A vector g with supp(Tg) the atoms of ``mask``, realized by the
+    engine from the echelon items of the column space (their order fixes
+    g); raises if no range element has that support."""
+    if mask == 0:
+        return zero_vector(T.n)
+    hit = linalg.realize(_column_space(T), mask, linalg.Blocks.atoms(T.n))
+    if hit is None:
+        raise UnachievableSupportError(f"support {SupportSet.from_mask(mask)!r} not achievable")
+    return hit[1]
+
+
 def realize_support(T: Operator, S: SupportSet) -> Vector:
     """A vector g with supp(Tg) = S; raises if S is not achievable, which is
     when the range constrained to vanish off S is not live on all of S."""
-    target = S.mask
-    if target == 0:
-        return zero_vector(T.n)
-    blocks = linalg.Blocks.atoms(T.n)
-    items = _column_space(T)
-    live = linalg.union_mask(items)
-    for bit in blocks.coords:
-        if live & ~target & bit:
-            items = linalg.constrain(items, bit, blocks)
-    if linalg.union_mask(items) != target:
-        raise UnachievableSupportError(f"support {S!r} not achievable")
-    return linalg.combine_generic(items, blocks)[1]
+    return _realize(T, S.mask)
 
 
 def minimal_supports(sigma: SigmaTable) -> tuple[SupportSet, ...]:
@@ -321,7 +312,7 @@ def _first_atom_violation(T: Operator, inside: bool) -> tuple[int, Vector] | Non
     if hit is None:
         return None
     s_mask, j = hit
-    return j + 1, realize_support(T, SupportSet.from_mask(s_mask))
+    return j + 1, _realize(T, s_mask)
 
 
 @linalg.per_operator
@@ -395,8 +386,8 @@ def verify_sigma_closures(T: Operator, sigma: SigmaTable) -> ClosureReport:
             if (a & b) not in sigma.masks:
                 witness = Witness(
                     "closure-violation",
-                    realize_support(T, SupportSet.from_mask(a)),
-                    realize_support(T, SupportSet.from_mask(b)),
+                    _realize(T, a),
+                    _realize(T, b),
                     f"intersection of {SupportSet.from_mask(a)!r} and "
                     f"{SupportSet.from_mask(b)!r} misses {SupportSet.from_mask(a & b)!r}",
                 )

@@ -355,14 +355,10 @@ def parse_probe_report(data: dict):
     """Reconstruct (space, operator, norm evidence, witness) tuples."""
     out = []
     for f in data.get("findings", []):
-        space = parse_space(f["space"])
-        rows = tuple(
-            tuple(parse_rat(x) for x in row) for row in f["matrix"]
-        )
-        T = Operator(space, rows)
+        T = parse_operator(f)
         nrm = parse_value(f["facts"]["operator_norm"])
-        w = parse_witness(f["facts"]["semi_band_preserving"]["witness"], space.n)
-        out.append((space, T, nrm, w))
+        w = parse_witness(f["facts"]["semi_band_preserving"]["witness"], T.n)
+        out.append((T.space, T, nrm, w))
     return out
 
 

@@ -4,8 +4,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+import semiband.cli
 from semiband import AtomicSpace, SupportSet, escape_projection, make_averaging
 from semiband.cli import main
+from semiband.errors import InternalConsistencyError, ValidationError
 from semiband.serialize import (
     build_analysis_report,
     dumps,
@@ -165,6 +169,24 @@ def test_cli_probe_writes_findings(tmp_path):
 
 def test_cli_probe_rejects_sup_norm(capsys):
     assert run_cli("probe", "--p", "inf", "--dims", "2..2") == 2
+
+
+def test_probe_report_rejects_a_ragged_matrix(tmp_path):
+    out = tmp_path / "findings.json"
+    assert run_cli("probe", "--p", "1", "--dims", "2..2", "--budget", "150", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    data["findings"][0]["matrix"][1].pop()
+    with pytest.raises(ValidationError, match="row 2"):
+        parse_probe_report(data)
+
+
+def test_cli_lets_a_defect_propagate(monkeypatch):
+    def broken(T):
+        raise InternalConsistencyError("reassembly failed")
+
+    monkeypatch.setattr(semiband.cli, "build_analysis_report", broken)
+    with pytest.raises(InternalConsistencyError):
+        run_cli("analyze", "--input", str(DATA / "averaging3.json"))
 
 
 def test_cli_determinism_bytes(tmp_path):

@@ -7,13 +7,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiband import linalg
 from semiband.atomic import AtomicSpace, SupportSet
 from semiband.errors import BudgetExceededError, UnachievableSupportError, ValidationError
 from semiband.interval import (
     EMPTY_REGION,
     FULL_REGION,
     _mask_region,
+    _bumps,
     _range_enumeration,
+    _segments,
     FiniteRankOp,
     IntervalRegion,
     PiecewisePoly,
@@ -26,6 +29,7 @@ from semiband.interval import (
     integrate,
     make_full_support_projection,
     make_sbp_not_scp_operator,
+    nullspace,
     pp_add,
     pp_band_contains,
     pp_disjoint,
@@ -293,7 +297,7 @@ def test_range_realizer_decides_achievability_as_the_enumeration_does():
     ops += [_random_frop(rng, terms=1 + i % 2) for i in range(12)]
     unachievable = 0
     for T in ops:
-        segs, masks = _range_enumeration(T)
+        segs, masks = _segments(T), _range_enumeration(T)
         for m in range(1 << len(segs)):
             region = _mask_region(segs, m)
             try:
@@ -310,9 +314,59 @@ def test_range_realizer_decides_achievability_as_the_enumeration_does():
         realize_range_support(frop_pair(), IntervalRegion.of((0, Fraction(1, 3))))
 
 
-def _rank(rows, dim):
-    from semiband.interval import nullspace
+def _nullspace_realizer(T, mask):
+    """The bump combination realizing a piece mask, by the kernel route:
+    ``nullspace`` of the bump images' coordinates off the mask, each basis
+    vector's image recomputed and itemized, then the generic combination."""
+    segs = _segments(T)
+    if mask == 0:
+        return PiecewisePoly.zero()
+    bumps, blocks = _bumps(T)
+    rows = [
+        tuple(b.image[c] for b in bumps)
+        for bit, coords in blocks.coords.items()
+        if not mask & bit
+        for c in coords
+    ]
+    items = []
+    for y in nullspace(rows, len(bumps)):
+        v = tuple(
+            sum((yb * b.image[c] for yb, b in zip(y, bumps) if yb), Fraction(0))
+            for c in range(len(blocks.bits))
+        )
+        items.append(linalg.item(v, y, blocks))
+    image, coeffs = linalg.combine_generic(items, blocks)
+    if blocks.mask(image) != mask:
+        raise UnachievableSupportError(f"piece mask {mask:b} not achievable")
+    per_piece = [[] for _ in segs]
+    for b, c in zip(bumps, coeffs):
+        per_piece[b.piece].append(c)
+    return PiecewisePoly.from_pieces((lo, hi, cs) for (lo, hi), cs in zip(segs, per_piece))
 
+
+def test_range_realizer_equals_the_nullspace_reference():
+    rng = random.Random(23)
+    ops = [frop_pair(), make_full_support_projection()]
+    ops += [_random_frop(rng, terms=1 + i % 3) for i in range(40)]
+    outcomes = set()
+    for T in ops:
+        segs = _segments(T)
+        n = len(segs)
+        masks = range(1 << n) if n <= 6 else rng.sample(range(1 << n), 1 << 6)
+        for m in masks:
+            try:
+                want = _nullspace_realizer(T, m)
+            except UnachievableSupportError:
+                with pytest.raises(UnachievableSupportError):
+                    realize_range_support(T, _mask_region(segs, m))
+                outcomes.add(False)
+            else:
+                assert realize_range_support(T, _mask_region(segs, m)) == want
+                outcomes.add(m != 0)
+    assert outcomes == {False, True}
+
+
+def _rank(rows, dim):
     return dim - len(nullspace(list(rows), dim))
 
 

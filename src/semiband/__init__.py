@@ -31,7 +31,6 @@ from .interval import (
     IntervalRegion,
     PiecewisePoly,
     frop_apply,
-    frop_image_subspace,
     frop_is_sbp,
     frop_is_scp,
     frop_range_supports,

@@ -9,8 +9,10 @@ conditions are linear in the achievable moment vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -326,47 +328,6 @@ def frop_moments(T: FiniteRankOp, f: PiecewisePoly) -> tuple[Fraction, ...]:
     return tuple(integrate(w, f) for w, _ in T.terms)
 
 
-# -- exact linear algebra on rational rows ---------------------------------
-
-
-def nullspace(rows: list[tuple[Fraction, ...]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : R x = 0}, normalized with free variables set to 1.
-
-    Serves ``frop_image_subspace`` and the oracles; the decisions and
-    their witnesses run on the engine in ``linalg``."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -mat[ri][fc]
-        basis.append(tuple(v))
-    return basis
-
-
 # -- achievable supports and the two semi-preservation decisions -----------
 
 
@@ -376,54 +337,81 @@ def _segments(T: FiniteRankOp) -> list[tuple[Fraction, Fraction]]:
     return _refine([w for w, _ in T.terms] + [phi for _, phi in T.terms])
 
 
-def _combine(coeffs: Sequence[Fraction], polys: list[Poly]) -> Poly:
-    acc: Poly = ()
-    for c, p in zip(coeffs, polys):
-        if c:
-            acc = poly_add(acc, poly_scale(c, p))
-    return acc
+def _on_segments(f: PiecewisePoly, ends: dict[Fraction, int]) -> list[Poly]:
+    """The polynomial of f on each piece of a refinement of its pieces;
+    ``ends`` maps each breakpoint to the number of pieces before it."""
+    out: list[Poly] = []
+    for _, hi, c in f.pieces:
+        out += [c] * (ends[hi] - len(out))
+    return out
 
 
-def frop_image_subspace(T: FiniteRankOp, region: IntervalRegion) -> list[tuple[Fraction, ...]]:
-    """Basis of the moment vectors (int w_k f)_k attainable by functions f
-    supported in the region: the orthogonal complement of the kernel
-    combinations vanishing a.e. there."""
-    m = len(T.terms)
-    if m == 0 or region.is_empty:
-        return []
-    pts = {Fraction(0), Fraction(1)}
-    for w, _ in T.terms:
-        pts.update(w.breakpoints())
-    for lo, hi in region.intervals:
-        pts.add(lo)
-        pts.add(hi)
-    spts = sorted(pts)
-    rows = []
-    for lo, hi in zip(spts, spts[1:]):
-        if not any(blo <= lo and hi <= bhi for blo, bhi in region.intervals):
-            continue
-        polys = [w.poly_at(lo) for w, _ in T.terms]
-        deg = max((len(p) for p in polys), default=0)
-        for d in range(deg):
-            rows.append(tuple(polys[k][d] if d < len(polys[k]) else Fraction(0) for k in range(m)))
-    return nullspace(nullspace(rows, m), m)
+def _moments(kernels: Sequence[Poly], lo: Fraction, hi: Fraction, nbumps: int) -> tuple[list[list[int]], int]:
+    """The moments int_lo^hi w_k t^d of the bumps d < nbumps on one piece,
+    as integer rows over one denominator.
 
-
-def _piece_coordinates(
-    functions: list[list[Poly]], nseg: int
-) -> tuple[linalg.Blocks, list[tuple[Fraction, ...]]]:
-    """Coefficient vectors of functions given as one polynomial per piece.
-
-    Piece i is the block with bit ``1 << i``, one coordinate per coefficient
-    up to the highest degree any of the functions reaches there.
+    With w_k = sum_j a_kj t^j, lo = A/q and hi = B/q, the moment is
+    sum_j a_kj (B^e - A^e) / (e q^e) with e = j + d + 1, and every e q^e
+    divides L = lcm(1..emax) q^emax.
     """
-    widths = [max((len(polys[pi]) for polys in functions), default=0) for pi in range(nseg)]
-    blocks = linalg.Blocks(1 << pi for pi, w in enumerate(widths) for _ in range(w))
-    vecs = [
-        tuple(c[d] if d < len(c) else Fraction(0) for c, w in zip(polys, widths) for d in range(w))
-        for polys in functions
+    kden = math.lcm(*(c.denominator for k in kernels for c in k))
+    q = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    emax = 2 * nbumps - 1
+    L = math.lcm(*range(1, emax + 1)) * q**emax
+    power = [0] + [(b**e - a**e) * (L // (e * q**e)) for e in range(1, emax + 1)]
+    rows = [
+        [sum(c.numerator * (kden // c.denominator) * power[j + d + 1] for j, c in enumerate(k)) for k in kernels]
+        for d in range(nbumps)
     ]
-    return blocks, vecs
+    return rows, kden * L
+
+
+class _Bump(NamedTuple):
+    piece: int
+    degree: int  # the input is t^degree on the piece, zero elsewhere
+    item: linalg.Item  # its image on the blocks; the mask is where it is nonzero
+
+
+@linalg.per_operator
+def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
+    """Monomial bumps t^d on every kernel-active piece, with their images:
+    t^d on [lo, hi) maps to sum_k (int_lo^hi w_k t^d) phi_k.
+
+    A piece is a block with one coordinate per coefficient up to the
+    highest degree some image reaches there.  Each image coefficient is an
+    integer dot product of the bump's moment row with a column of the
+    table of phi_k coefficients per piece and degree, all over one
+    denominator."""
+    segs = _segments(T)
+    if not T.terms:
+        return [], linalg.Blocks(())
+    ends = {hi: i + 1 for i, (_, hi) in enumerate(segs)}
+    kernels = list(zip(*(_on_segments(w, ends) for w, _ in T.terms)))
+    phis = list(zip(*(_on_segments(phi, ends) for _, phi in T.terms)))
+    pden = math.lcm(*(c.denominator for polys in phis for p in polys for c in p))
+    # every degree of every piece some phi_k reaches, with its phi_k column
+    coords = [(pj, e) for pj, polys in enumerate(phis) for e in range(max(map(len, polys)))]
+    cols = [
+        [p[e].numerator * (pden // p[e].denominator) if e < len(p) else 0 for p in phis[pj]]
+        for pj, e in coords
+    ]
+    raw = []
+    for pi, (lo, hi) in enumerate(segs):
+        nbumps = max(map(len, kernels[pi]))
+        if nbumps:
+            rows, mden = _moments(kernels[pi], lo, hi, nbumps)
+            for d, row in enumerate(rows):
+                raw.append((pi, d, [sum(map(mul, row, col)) for col in cols], mden * pden))
+    # a piece keeps its degrees up to the highest some image reaches
+    width: dict[int, int] = {}
+    for c, (pj, e) in enumerate(coords):
+        if any(image[c] for _, _, image, _ in raw):
+            width[pj] = e + 1
+    keep = [c for c, (pj, e) in enumerate(coords) if e < width.get(pj, 0)]
+    blocks = linalg.Blocks(1 << coords[c][0] for c in keep)
+    bumps = [_Bump(pi, d, linalg.lowest([image[c] for c in keep], [], den, blocks)) for pi, d, image, den in raw]
+    return bumps, blocks
 
 
 @linalg.per_operator
@@ -433,46 +421,51 @@ def _range_enumeration(T: FiniteRankOp) -> frozenset[int]:
     coordinates, so the engine's one-dimensional masks are not all the
     minimal supports and are not used."""
     bumps, blocks = _bumps(T)
-    items = linalg.echelonize(((b.image, ()) for b in bumps), blocks)
+    items = linalg.echelonize((b.item for b in bumps), blocks)
     masks, _ = linalg.support_masks(items, blocks)
     return masks
 
 
+def _runs(mask: int) -> list[tuple[int, int]]:
+    """The runs of consecutive set bits of the mask, as (first, last)."""
+    runs = []
+    while mask:
+        low = mask & -mask
+        rest = mask & (mask + low)  # the lowest run cleared
+        runs.append((low.bit_length() - 1, (mask ^ rest).bit_length() - 1))
+        mask = rest
+    return runs
+
+
+def _region(segs, runs: list[tuple[int, int]]) -> IntervalRegion:
+    """The canonical region of runs of pieces: one interval per run, since
+    the pieces of a run touch and two runs do not."""
+    return IntervalRegion(tuple((segs[i][0], segs[j][1]) for i, j in runs))
+
+
 def _mask_region(segs, mask: int) -> IntervalRegion:
-    return IntervalRegion.of(*(segs[i] for i in range(len(segs)) if mask >> i & 1))
+    return _region(segs, _runs(mask))
 
 
 def frop_range_supports(T: FiniteRankOp) -> tuple[IntervalRegion, ...]:
-    """All supports attainable by range elements, as canonical regions."""
+    """All supports attainable by range elements, as canonical regions,
+    ordered by measure and then by intervals.  Endpoints increase with the
+    piece index, so the runs' index pairs order the intervals, and the
+    measure is summed over the pieces' common denominator."""
     segs = _segments(T)
-    regions = {_mask_region(segs, m) for m in _range_enumeration(T)}
-    return tuple(sorted(regions, key=lambda r: (r.measure(), r.intervals)))
+    den = math.lcm(*(hi.denominator for _, hi in segs))
+    at = [0] + [hi.numerator * (den // hi.denominator) for _, hi in segs]
+    keyed = []
+    for m in _range_enumeration(T):
+        runs = _runs(m)
+        keyed.append((sum(at[j + 1] - at[i] for i, j in runs), runs))
+    keyed.sort()
+    return tuple(_region(segs, runs) for _, runs in keyed)
 
 
-class _Bump(NamedTuple):
-    piece: int
-    f: PiecewisePoly  # the monomial t^d on the piece, zero elsewhere
-    image: tuple[Fraction, ...]  # coefficients of Tf on the blocks
-    mask: int  # pieces where Tf is nonzero
-
-
-@linalg.per_operator
-def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
-    """Monomial bumps t^d on every kernel-active piece, with their images:
-    t^d on [lo, hi) maps to sum_k (int_lo^hi w_k t^d) phi_k."""
-    segs = _segments(T)
-    phis = [[phi.poly_at(lo) for _, phi in T.terms] for lo, _ in segs]
-    raw, images = [], []
-    for pi, (lo, hi) in enumerate(segs):
-        kernels = [w.poly_at(lo) for w, _ in T.terms]
-        for d in range(max(map(len, kernels), default=0)):
-            mono = (Fraction(0),) * d + (Fraction(1),)
-            moments = [poly_integral(poly_mul(k, mono), lo, hi) for k in kernels]
-            raw.append((pi, PiecewisePoly.on_interval(lo, hi, mono)))
-            images.append([_combine(moments, polys) for polys in phis])
-    blocks, vecs = _piece_coordinates(images, len(segs))
-    bumps = [_Bump(pi, b, v, blocks.mask(v)) for (pi, b), v in zip(raw, vecs)]
-    return bumps, blocks
+def _bump_input(T: FiniteRankOp, b: _Bump) -> PiecewisePoly:
+    lo, hi = _segments(T)[b.piece]
+    return PiecewisePoly.on_interval(lo, hi, (0,) * b.degree + (1,))
 
 
 def _bump_items(T: FiniteRankOp) -> list[linalg.Item]:
@@ -481,13 +474,9 @@ def _bump_items(T: FiniteRankOp) -> list[linalg.Item]:
     them pivots on the first live bump, so the items left are the kernel
     vectors with one free bump at 1 and the other free bumps at 0.  Built
     per call, not kept: the passengers are n x n for n bumps."""
-    bumps, blocks = _bumps(T)
+    bumps, _ = _bumps(T)
     zeros = (0,) * len(bumps)
-    items = []
-    for k, b in enumerate(bumps):
-        it = linalg.item(b.image, (), blocks)
-        items.append(it._replace(pre=zeros[:k] + (it.den,) + zeros[k + 1:]))
-    return items
+    return [b.item._replace(pre=zeros[:k] + (b.item.den,) + zeros[k + 1:]) for k, b in enumerate(bumps)]
 
 
 def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
@@ -531,7 +520,7 @@ def _first_bump_violation(T: FiniteRankOp, inside: bool) -> tuple[_Bump, Piecewi
     """(bump, g) for the first support S = supp(Tg) and bump that break
     the semi law ``linalg.first_violation`` names by ``inside``."""
     bumps, _ = _bumps(T)
-    sources = [(1 << b.piece, b.mask) for b in bumps]
+    sources = [(1 << b.piece, b.item.mask) for b in bumps]
     hit = linalg.first_violation(_range_enumeration(T), sources, inside)
     if hit is None:
         return None
@@ -554,7 +543,7 @@ def frop_is_sbp(T: FiniteRankOp) -> FropCheck:
         f"bump on piece {_segments(T)[b.piece]} is disjoint from supp(Tg) "
         f"yet its image meets it"
     )
-    return FropCheck(False, FropWitness("SBP-violation", b.f, g, note))
+    return FropCheck(False, FropWitness("SBP-violation", _bump_input(T, b), g, note))
 
 
 def frop_is_scp(T: FiniteRankOp) -> FropCheck:
@@ -567,7 +556,7 @@ def frop_is_scp(T: FiniteRankOp) -> FropCheck:
         f"bump on piece {_segments(T)[b.piece]} lies in the band of Tg "
         f"yet its image escapes supp(Tg)"
     )
-    return FropCheck(False, FropWitness("SCP-violation", b.f, g, note))
+    return FropCheck(False, FropWitness("SCP-violation", _bump_input(T, b), g, note))
 
 
 def replay_frop_witness(T: FiniteRankOp, w: FropWitness) -> bool:

@@ -8,8 +8,10 @@ the one positive denominator ``den``; ``mask`` is the set of blocks on
 which ``vec`` is nonzero.  Elimination cross-multiplies and divides each
 new row by the gcd of its numerators and denominator, so every item is
 the rational vector a ``Fraction`` elimination would give, computed
-without ``Fraction`` arithmetic.  Fractions appear only where rows enter
-(``item``) and where vectors leave (``fractions``).  Blocks are read
+without ``Fraction`` arithmetic.  Rows enter as items, from rationals
+(``item``, the atomic columns) or from integers over a denominator
+(``lowest``, the interval bump images); fractions appear otherwise only
+where vectors leave (``fractions``).  Blocks are read
 through a coordinate -> bit table: one coordinate per atom, one per
 polynomial coefficient of a piece.
 
@@ -98,7 +100,7 @@ def fractions(ints: Iterable[int], den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in ints)
 
 
-def _lowest(vec: list[int], pre: list[int], den: int, blocks: Blocks) -> Item:
+def lowest(vec: list[int], pre: list[int], den: int, blocks: Blocks) -> Item:
     """The item (vec, pre) / den in lowest terms, denominator positive."""
     g = math.gcd(*vec, *pre, den)
     if den < 0:
@@ -119,19 +121,18 @@ def _eliminate(it: Item, pivot: Item, c: int, blocks: Blocks) -> Item:
     a, b = pivot.vec[c], it.vec[c]
     vec = [a * x - b * y for x, y in zip(it.vec, pivot.vec)]
     pre = [a * x - b * y for x, y in zip(it.pre, pivot.pre)]
-    return _lowest(vec, pre, it.den * a, blocks)
+    return lowest(vec, pre, it.den * a, blocks)
 
 
-def echelonize(rows: Iterable[tuple[Sequence, Sequence]], blocks: Blocks) -> list[Item]:
-    """An echelon spanning set of the rational rows ``(vec, pre)``.
+def echelonize(items: Iterable[Item], blocks: Blocks) -> list[Item]:
+    """An echelon spanning set of the items' span.
 
-    Each row is reduced against the earlier pivots in the order they were
+    Each item is reduced against the earlier pivots in the order they were
     found; a nonzero remainder becomes a pivot at its first nonzero
     coordinate.
     """
     pivots: dict[int, Item] = {}
-    for v, pre in rows:
-        it = item(v, pre, blocks)
+    for it in items:
         for piv, p in pivots.items():
             if it.vec[piv]:
                 it = _eliminate(it, p, piv, blocks)
@@ -301,7 +302,7 @@ def combine_generic(items: list[Item], blocks: Blocks) -> tuple[tuple[Fraction, 
             cand = [x + step * y for x, y in zip(base, it.vec)]
             if blocks.mask(cand) == target:
                 pre = [x * it.den + step * y for x, y in zip(acc.pre, it.pre)]
-                acc = _lowest(cand, pre, acc.den * it.den, blocks)
+                acc = lowest(cand, pre, acc.den * it.den, blocks)
                 break
         else:  # pragma: no cover - impossible by the counting argument
             raise AssertionError("no cancellation-free combination found")

@@ -169,8 +169,9 @@ class SigmaTable:
 def _column_space(T: Operator) -> list[linalg.Item]:
     """Echelon items spanning the column space, each with a preimage."""
     n = T.n
-    columns = ((T.column(j), basis_vector(n, j)) for j in range(1, n + 1))
-    return linalg.echelonize(columns, linalg.Blocks.atoms(n))
+    blocks = linalg.Blocks.atoms(n)
+    columns = (linalg.item(T.column(j), basis_vector(n, j), blocks) for j in range(1, n + 1))
+    return linalg.echelonize(columns, blocks)
 
 
 @linalg.per_operator

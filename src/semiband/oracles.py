@@ -26,13 +26,48 @@ from .interval import (
     FiniteRankOp,
     PiecewisePoly,
     frop_apply,
-    nullspace,
     pp_band_contains,
     pp_disjoint,
     pp_restrict,
     pp_support,
 )
 from .operators import Operator, apply
+
+
+def nullspace(rows: list[tuple[Fraction, ...]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : R x = 0}, normalized with free variables set to 1: a
+    plain Gauss-Jordan elimination, independent of the support engine."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -mat[ri][fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def _integral(v: Sequence[Fraction]) -> list[int]:
@@ -59,6 +94,30 @@ def _mask(v: Sequence[int]) -> int:
 def _image(rows: list[list[int]], f: Sequence[int]) -> list[int]:
     """(d*T) f, one dot product per integer row of d*T."""
     return [sum(map(mul, row, f)) for row in rows]
+
+
+def _row_classes(rows: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
+    """The nonzero rows up to a nonzero factor, each as its primitive row
+    (gcd 1, leading entry positive) with the mask of the rows it stands
+    for.  A row's dot product with f vanishes exactly when its primitive
+    row's does, so one dot product per class decides them all."""
+    classes: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(rows):
+        lead = next((x for x in row if x), 0)
+        if lead:
+            g = math.gcd(*row) if lead > 0 else -math.gcd(*row)
+            key = tuple(x // g for x in row)
+            classes[key] = classes.get(key, 0) | 1 << i
+    return list(classes.items())
+
+
+def _image_mask(classes: list[tuple[tuple[int, ...], int]], f: Sequence[int]) -> int:
+    """The support mask of (d*T) f, taken in the pass of its dot products."""
+    m = 0
+    for row, bits in classes:
+        if sum(map(mul, row, f)):
+            m |= bits
+    return m
 
 
 def _generic_in_span(pairs: list[tuple[Sequence[int], Sequence[int]]], n: int) -> list[int]:
@@ -223,22 +282,23 @@ def sampled_implication_check(
     and return the first whose consequent fails, re-verified with rationals,
     or None.  The entries of g, and of f on the atoms the antecedent allows
     (off supp Tg for ``"sbp"``, inside it for ``"scp"``), come from
-    ``_DRAWS``; images are taken on the integer rows of d*T."""
+    ``_DRAWS``; image masks are taken on the integer rows of d*T, one dot
+    product per class of proportional rows."""
     if which not in ("sbp", "scp"):
         raise ValueError("which must be 'sbp' or 'scp'")
     inside = which == "scp"
     law = band_contains if inside else is_disjoint  # law(Tg, f): the antecedent
     n = T.n
-    rows = _int_rows(T)
+    classes = _row_classes(_int_rows(T))
     rng = random.Random(f"sampled-oracle:{seed}")
     for _ in range(pairs):
         g = rng.choices(_DRAWS, k=n)
-        tg = _mask(_image(rows, g))
+        tg = _image_mask(classes, g)
         breach = ~tg if inside else tg
         if not ~breach & ((1 << n) - 1):
             continue  # the antecedent forces f = 0
         f = [0 if breach >> i & 1 else x for i, x in enumerate(rng.choices(_DRAWS, k=n))]
-        if _mask(_image(rows, f)) & breach:
+        if _image_mask(classes, f) & breach:
             f, g = tuple(map(Fraction, f)), tuple(map(Fraction, g))
             tf, tgv = apply(T, f), apply(T, g)
             if law(tgv, f) and not law(tgv, tf):

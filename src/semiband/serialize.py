@@ -364,17 +364,28 @@ def parse_probe_report(data: dict):
 
 # -- the report writer -------------------------------------------------------
 
+
+class _IntText(dict):
+    """int -> its JSON text: held for the small ints a report repeats most
+    (atom indices, up to 1023 atoms), computed for any other."""
+
+    def __missing__(self, x: int) -> str:
+        return int.__repr__(x)
+
+
+_INT_TEXT = _IntText((i, int.__repr__(i)) for i in range(1024))
+
 #: How each JSON scalar a report can hold is written, by exact type (a bool
 #: is not written as an int).
 _SCALARS = {
     str: _quote,
-    int: int.__repr__,
+    int: _INT_TEXT.__getitem__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
 #: Lists whose elements are all of one of these types go on their lines
 #: with one join.
-_FLAT = {frozenset([int]): int.__repr__, frozenset([str]): _quote}
+_FLAT = {frozenset([int]): _INT_TEXT.__getitem__, frozenset([str]): _quote}
 
 
 def dumps(obj: dict) -> str:

@@ -21,7 +21,6 @@ from semiband.interval import (
     IntervalRegion,
     PiecewisePoly,
     frop_apply,
-    frop_image_subspace,
     frop_is_sbp,
     frop_is_scp,
     frop_moments,
@@ -29,7 +28,10 @@ from semiband.interval import (
     integrate,
     make_full_support_projection,
     make_sbp_not_scp_operator,
-    nullspace,
+    poly_add,
+    poly_integral,
+    poly_mul,
+    poly_scale,
     pp_add,
     pp_band_contains,
     pp_disjoint,
@@ -42,7 +44,7 @@ from semiband.interval import (
     replay_frop_witness,
 )
 from semiband.operators import Operator, enumerate_sigma, is_sbp, is_scp
-from semiband.oracles import random_piecewise, sampled_frop_check
+from semiband.oracles import nullspace, random_piecewise, sampled_frop_check
 
 HALF = Fraction(1, 2)
 
@@ -192,6 +194,31 @@ def test_range_supports_complement_escape():
     assert IntervalRegion.of((HALF, 1)) not in frop_range_supports(T)
 
 
+def frop_image_subspace(T, region):
+    """Reference: a basis of the moment vectors (int w_k f)_k attainable by
+    functions f supported in the region, as the orthogonal complement of
+    the kernel combinations vanishing a.e. there."""
+    m = len(T.terms)
+    if m == 0 or region.is_empty:
+        return []
+    pts = {Fraction(0), Fraction(1)}
+    for w, _ in T.terms:
+        pts.update(w.breakpoints())
+    for lo, hi in region.intervals:
+        pts.add(lo)
+        pts.add(hi)
+    spts = sorted(pts)
+    rows = []
+    for lo, hi in zip(spts, spts[1:]):
+        if not any(blo <= lo and hi <= bhi for blo, bhi in region.intervals):
+            continue
+        polys = [w.poly_at(lo) for w, _ in T.terms]
+        deg = max((len(p) for p in polys), default=0)
+        for d in range(deg):
+            rows.append(tuple(polys[k][d] if d < len(polys[k]) else Fraction(0) for k in range(m)))
+    return nullspace(nullspace(rows, m), m)
+
+
 def test_frop_image_subspace():
     T = frop_pair()
     assert frop_image_subspace(T, IntervalRegion.of((HALF, 1))) == []
@@ -322,8 +349,9 @@ def _nullspace_realizer(T, mask):
     if mask == 0:
         return PiecewisePoly.zero()
     bumps, blocks = _bumps(T)
+    images = [linalg.fractions(b.item.vec, b.item.den) for b in bumps]
     rows = [
-        tuple(b.image[c] for b in bumps)
+        tuple(image[c] for image in images)
         for bit, coords in blocks.coords.items()
         if not mask & bit
         for c in coords
@@ -331,7 +359,7 @@ def _nullspace_realizer(T, mask):
     items = []
     for y in nullspace(rows, len(bumps)):
         v = tuple(
-            sum((yb * b.image[c] for yb, b in zip(y, bumps) if yb), Fraction(0))
+            sum((yb * image[c] for yb, image in zip(y, images) if yb), Fraction(0))
             for c in range(len(blocks.bits))
         )
         items.append(linalg.item(v, y, blocks))
@@ -364,6 +392,102 @@ def test_range_realizer_equals_the_nullspace_reference():
                 assert realize_range_support(T, _mask_region(segs, m)) == want
                 outcomes.add(m != 0)
     assert outcomes == {False, True}
+
+
+# -- the integer bump images and the mask listing against the Fraction route --
+
+GRID = [Fraction(k, 6) for k in range(7)]
+COEFFS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7)])
+
+
+@st.composite
+def _piecewise(draw):
+    cuts = draw(st.lists(st.sampled_from(GRID[1:-1]), max_size=3, unique=True))
+    pts = [0, *sorted(cuts), 1]
+    return PiecewisePoly.from_pieces(
+        (lo, hi, draw(st.lists(COEFFS, max_size=3))) for lo, hi in zip(pts, pts[1:])
+    )
+
+
+@st.composite
+def _frops(draw):
+    """Random operators; with a twin term on the first kernel whose image
+    negates the first image's leading coefficients, so that the leading
+    coefficients of every bump image cancel where only these two act."""
+    terms = [(draw(_piecewise()), draw(_piecewise())) for _ in range(draw(st.integers(0, 3)))]
+    if terms and draw(st.booleans()):
+        w, phi = terms[0]
+        twin = PiecewisePoly.from_pieces(
+            (lo, hi, (*draw(st.lists(COEFFS, min_size=len(c) - 1, max_size=len(c) - 1)), -c[-1]) if c else ())
+            for lo, hi, c in phi.pieces
+        )
+        terms.append((w, twin))
+    return FiniteRankOp(tuple(terms))
+
+
+def _combine(coeffs, polys):
+    acc = ()
+    for c, p in zip(coeffs, polys):
+        if c:
+            acc = poly_add(acc, poly_scale(c, p))
+    return acc
+
+
+def _fraction_bump_items(T):
+    """Reference bumps by the Fraction route: each moment a polynomial
+    integral, each image a Fraction combination of the phi_k per piece,
+    coordinates padded to the widest image on each piece, then itemized."""
+    segs = _segments(T)
+    phis = [[phi.poly_at(lo) for _, phi in T.terms] for lo, _ in segs]
+    bumps, images = [], []
+    for pi, (lo, hi) in enumerate(segs):
+        kernels = [w.poly_at(lo) for w, _ in T.terms]
+        for d in range(max(map(len, kernels), default=0)):
+            mono = (Fraction(0),) * d + (Fraction(1),)
+            moments = [poly_integral(poly_mul(k, mono), lo, hi) for k in kernels]
+            bumps.append((pi, d))
+            images.append([_combine(moments, polys) for polys in phis])
+    widths = [max((len(im[pi]) for im in images), default=0) for pi in range(len(segs))]
+    blocks = linalg.Blocks(1 << pi for pi, w in enumerate(widths) for _ in range(w))
+    items = [
+        linalg.item([c[d] if d < len(c) else 0 for c, w in zip(im, widths) for d in range(w)], (), blocks)
+        for im in images
+    ]
+    return bumps, items, blocks
+
+
+@settings(max_examples=150)
+@given(_frops())
+def test_integer_bump_items_equal_the_fraction_images(T):
+    bumps, blocks = _bumps(T)
+    want, items, ref = _fraction_bump_items(T)
+    assert [(b.piece, b.degree) for b in bumps] == want
+    assert [b.item for b in bumps] == items
+    assert blocks.bits == ref.bits
+
+
+def test_cancelled_leading_coefficients_narrow_the_block():
+    # the images of 1 + t and -t under one kernel sum to a constant
+    w = PiecewisePoly.indicator(0, 1)
+    T = FiniteRankOp.of((w, PiecewisePoly.from_pieces([(0, 1, (1, 1))])),
+                        (w, PiecewisePoly.from_pieces([(0, 1, (0, -1))])))
+    bumps, blocks = _bumps(T)
+    assert blocks.bits == (1,)
+    assert [b.item for b in bumps] == _fraction_bump_items(T)[1]
+
+
+@settings(max_examples=100)
+@given(_frops())
+def test_range_listing_equals_the_region_reference(T):
+    segs = _segments(T)
+
+    def region(m):
+        return IntervalRegion.of(*(segs[i] for i in range(len(segs)) if m >> i & 1))
+
+    regions = {region(m) for m in _range_enumeration(T)}
+    assert frop_range_supports(T) == tuple(sorted(regions, key=lambda r: (r.measure(), r.intervals)))
+    for m in range(1 << len(segs)):
+        assert _mask_region(segs, m) == region(m)
 
 
 def _rank(rows, dim):

@@ -93,7 +93,7 @@ def literal_sigma(T):
     """Independent oracle: per-candidate feasibility, straight from the
     definition.  S is achievable iff the subspace of range elements
     vanishing off S has, for every atom of S, some member nonzero there."""
-    from semiband.interval import nullspace
+    from semiband.oracles import nullspace
 
     n = T.n
     cols = [T.column(j) for j in range(1, n + 1)]

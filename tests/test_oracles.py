@@ -22,8 +22,12 @@ from semiband import AtomicSpace, Operator, Witness, apply, is_sbp, is_scp, repl
 from semiband.atomic import band_contains, is_disjoint, support_mask
 from semiband.generators import gen_random_operator, gen_random_wce, random_partition
 from semiband.oracles import (
+    _image,
+    _image_mask,
     _input_strata,
     _int_rows,
+    _mask,
+    _row_classes,
     sampled_implication_check,
     sbp_scp_exhaustive,
     small_matrix_family,
@@ -162,6 +166,20 @@ def test_sampler_is_deterministic_per_seed():
         for which in ("sbp", "scp"):
             first = sampled_implication_check(T, which, 500, 17)
             assert sampled_implication_check(T, which, 500, 17) == first
+
+
+def test_image_mask_by_row_classes_is_the_mask_of_the_image():
+    rng = random.Random("row-classes")
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        base = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        # rows proportional to a few base rows (negative factors too), and zero rows
+        rows = [[c * x for x in rng.choice(base)] for c in (rng.choice([0, 1, -1, 2, -3]) for _ in range(n))]
+        classes = _row_classes(rows)
+        assert len(classes) <= len(base)
+        for _ in range(10):
+            f = [rng.randint(-3, 3) for _ in range(n)]
+            assert _image_mask(classes, f) == _mask(_image(rows, f))
 
 
 def test_sampler_is_silent_on_wce_forms_and_averaging():

@@ -15,7 +15,7 @@ from semiband.serialize import dumps, mask_to_json
 # separators and non-ASCII text, alone and inside random strings
 AWKWARD = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ", "é", "∑", "\U0001f600", "\ud800"]
 TEXT = st.text(st.one_of(st.characters(), st.sampled_from(AWKWARD)), max_size=6)
-INTS = st.one_of(st.integers(), st.sampled_from([-(2**70), 2**64, 10**300, -1, 0]))
+INTS = st.one_of(st.integers(), st.sampled_from([-(2**70), 2**64, 10**300, -1, 0, 1023, 1024]))
 SCALARS = st.one_of(st.none(), st.booleans(), INTS, TEXT)
 FLAT = st.one_of(st.lists(INTS), st.lists(TEXT), st.lists(st.booleans()), st.lists(SCALARS))
 TREES = st.recursive(

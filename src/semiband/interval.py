@@ -415,14 +415,18 @@ def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
 
 
 @linalg.per_operator
-def _range_enumeration(T: FiniteRankOp) -> frozenset[int]:
-    """All piece-masks of supports attained by range elements; the range
-    is the span of the bump images.  A piece is a block of several
-    coordinates, so the engine's one-dimensional masks are not all the
-    minimal supports and are not used."""
+def _range_items(T: FiniteRankOp) -> list[linalg.Item]:
+    """Echelon items spanning the range, the span of the bump images."""
     bumps, blocks = _bumps(T)
-    items = linalg.echelonize((b.item for b in bumps), blocks)
-    masks, _ = linalg.support_masks(items, blocks)
+    return linalg.echelonize((b.item for b in bumps), blocks)
+
+
+@linalg.per_operator
+def _range_enumeration(T: FiniteRankOp) -> frozenset[int]:
+    """All piece-masks of supports attained by range elements.  A piece is
+    a block of several coordinates, so the engine's one-dimensional masks
+    are not all the minimal supports and are not used."""
+    masks, _ = linalg.support_masks(_range_items(T), _bumps(T)[1])
     return masks
 
 
@@ -516,12 +520,20 @@ class FropCheck:
         return self.holds
 
 
+@linalg.per_operator
+def _semi_masks(T: FiniteRankOp) -> set[int]:
+    """The supports the semi laws are decided on (``linalg.avoiding_masks``
+    of the range), kept on T for both laws."""
+    return linalg.avoiding_masks(_range_items(T), _bumps(T)[1])
+
+
 def _first_bump_violation(T: FiniteRankOp, inside: bool) -> tuple[_Bump, PiecewisePoly] | None:
     """(bump, g) for the first support S = supp(Tg) and bump that break
-    the semi law ``linalg.first_violation`` names by ``inside``."""
+    the semi law ``linalg.first_violation`` names by ``inside``, over the
+    range's own support and the largest support avoiding each piece."""
     bumps, _ = _bumps(T)
     sources = [(1 << b.piece, b.item.mask) for b in bumps]
-    hit = linalg.first_violation(_range_enumeration(T), sources, inside)
+    hit = linalg.first_violation(_semi_masks(T), sources, inside)
     if hit is None:
         return None
     mask, k = hit
@@ -533,7 +545,9 @@ def frop_is_sbp(T: FiniteRankOp) -> FropCheck:
 
     For every attainable range support S, every input supported off S must
     have an image vanishing a.e. on S; linearity in the moment vector makes
-    checking monomial bumps complete.
+    checking monomial bumps complete.  The supports off a bump's piece all
+    lie in the largest one, so only that support is checked per piece and
+    no support is enumerated.
     """
     hit = _first_bump_violation(T, inside=False)
     if hit is None:

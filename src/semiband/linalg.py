@@ -282,6 +282,22 @@ def first_violation(
     return None
 
 
+def avoiding_masks(items: list[Item], blocks: Blocks) -> set[int]:
+    """A complete family of supports for ``first_violation``: the span's
+    union mask and, per live block b, the largest support avoiding b.
+
+    The supports avoiding b are those of the span constrained to vanish
+    on b, and a generic element of it attains their union.  So a semi law
+    broken at a support S is also broken at the largest support avoiding
+    the source block (semi band) or the breached block (semi containment).
+    A block the span never reaches is avoided by the union mask itself.
+    Masks do not depend on scale, so the passengers and denominators are
+    dropped first.
+    """
+    items, full = [Item(it.vec, it.mask, (), 1) for it in items], union_mask(items)
+    return {full, *(union_mask(constrain(items, b, blocks)) for b in blocks.coords if full & b)}
+
+
 def combine_generic(items: list[Item], blocks: Blocks) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """A deterministic element of span(items) live on the union of their
     masks, with its passenger coordinates, as fractions.

@@ -1,11 +1,14 @@
 """Matrix operators on atomic spaces: disjointness-type predicates and the
 family of achievable range supports.
 
-The central object is ``SigmaTable``: the set of supports attained by
-elements of the range of T.  A candidate subset S of atoms is achievable
-exactly when the subspace of range elements vanishing off S is not
-contained in any coordinate hyperplane over S; over the rationals a finite
-union of proper subspaces cannot cover a subspace, so this test is exact.
+A candidate subset S of atoms is achievable exactly when the subspace of
+range elements vanishing off S is not contained in any coordinate
+hyperplane over S; over the rationals a finite union of proper subspaces
+cannot cover a subspace, so this test is exact.  The semi laws are decided
+on at most n + 1 supports, the range's own and the largest one avoiding
+each atom (``linalg.avoiding_masks``), so SBP, SCP, the WCE form and the
+norm enumerate nothing.  ``SigmaTable``, the set of all achievable
+supports, is built only for its listing and the closure laws.
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ def apply(T: Operator, f: Vector) -> Vector:
     """Exact matrix-vector product."""
     if len(f) != T.n:
         raise DimensionMismatchError("vector length does not match the operator")
-    return tuple(sum(c * x for c, x in zip(row, f)) for row in T.rows)
+    live = [(j, x) for j, x in enumerate(f) if x]
+    return tuple(sum((row[j] * x for j, x in live), Fraction(0)) for row in T.rows)
 
 
 def is_projection(T: Operator) -> bool:
@@ -298,18 +302,23 @@ def is_beta(T: Operator) -> PredicateResult:
     return PredicateResult(True)
 
 
+@linalg.per_operator
+def _semi_masks(T: Operator) -> set[int]:
+    """The supports the semi laws are decided on (``linalg.avoiding_masks``
+    of the column space), kept on T for both laws."""
+    return linalg.avoiding_masks(_column_space(T), linalg.Blocks.atoms(T.n))
+
+
 def _first_atom_violation(T: Operator, inside: bool) -> tuple[int, Vector] | None:
     """(i, g) for the first support S = supp(Tg) and atom i that break the
     semi law ``linalg.first_violation`` names by ``inside``.
 
-    Only the minimal supports are scanned.  Every support S is a union of
-    them, and if S breaks a law at atom i, so does the minimal support
-    inside S that holds atom i (semi containment) or an atom of S that
-    column i meets (semi band).  That support is numerically no larger
-    than S, so the least violating support is itself minimal.
+    The supports scanned are the range's own support and, per atom, the
+    largest support avoiding it: a law broken at any support is broken at
+    one of these, so no support is enumerated.
     """
     sources = [(1 << j, m) for j, m in enumerate(_column_masks(T))]
-    hit = linalg.first_violation(enumerate_sigma(T).minimal, sources, inside)
+    hit = linalg.first_violation(_semi_masks(T), sources, inside)
     if hit is None:
         return None
     s_mask, j = hit
@@ -413,15 +422,19 @@ def replay_witness(T: Operator, w: Witness) -> bool:
         tg = apply(T, g)
         return band_contains(tg, f) and not band_contains(tg, apply(T, f))
     if w.kind == "closure-violation":
-        masks = enumerate_sigma(T).masks
+        items, blocks = _column_space(T), linalg.Blocks.atoms(T.n)
+
+        def attained(m: int) -> bool:
+            return m == 0 or linalg.realize(items, m, blocks) is not None
+
         a, b = support_mask(apply(T, f)), support_mask(apply(T, g))
         return (
-            a in masks
-            and b in masks
+            attained(a)
+            and attained(b)
             and (
-                (a | b) not in masks
-                or (a & b) not in masks
-                or (a & b == a and (b & ~a) not in masks)
+                not attained(a | b)
+                or not attained(a & b)
+                or (a & b == a and not attained(b & ~a))
             )
         )
     raise ValidationError(f"unknown witness kind {w.kind!r}")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -208,4 +209,17 @@ def test_console_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["projection"] is True
+
+
+def test_package_runs_as_a_module(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiband", "analyze", "--input", str(DATA / "averaging3.json")],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["projection"] is True

@@ -1,10 +1,11 @@
 """The integer support engine and its fast paths: golden report bytes, the
 closure and minimal-support shortcuts and the SBP/SCP scan against their
-literal definitions, SBP against its matrix form and the WCE blocks against
-the minimal supports, realizers over large coprime denominators and
-against the enumerated supports, witness replay, the shared enumeration
-budget, engine state built once per operator, and oracles that stay
-independent of the engine."""
+literal definitions, the avoiding masks against the scan over all of Σ,
+SBP against its matrix form and the WCE blocks against the minimal
+supports, realizers over large coprime denominators and against the
+enumerated supports, witness replay, the shared enumeration budget and the
+decisions it does not guard, engine state built once per operator, and
+oracles that stay independent of the engine."""
 
 import ast
 import itertools
@@ -35,10 +36,20 @@ from semiband import BudgetExceededError, linalg
 from semiband.atomic import support_mask
 from semiband.cli import main
 from semiband.errors import UnachievableSupportError
-from semiband.interval import make_sbp_not_scp_operator
-from semiband.operators import ClosureReport, Witness, _column_space
+from semiband.generators import gen_random_operator, gen_random_wce
+from semiband.interval import (
+    FiniteRankOp,
+    PiecewisePoly,
+    frop_is_sbp,
+    frop_is_scp,
+    frop_range_supports,
+    make_sbp_not_scp_operator,
+    replay_frop_witness,
+)
+from semiband.operators import ClosureReport, Witness, _column_space, is_scp, operator_norm
 from semiband.oracles import sbp_scp_exhaustive
-from semiband.serialize import build_analysis_report, build_interval_report, parse_operator
+from semiband.serialize import build_analysis_report, build_interval_report, parse_frop, parse_operator
+from semiband.values import IntervalValue
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ANALYZE = ["averaging3", "escape_projection", "lowrank8", "wce8", "perturbed8", "wce8_p32"]
@@ -352,6 +363,25 @@ def test_first_violation_is_the_literal_law(masks, sources, inside):
     assert linalg.first_violation(masks, sources, inside) == (hits[0] if hits else None)
 
 
+def _sigma_scan(T, inside):
+    """The semi law scanned over every support of the range: the reference
+    the avoiding masks are checked against."""
+    sources = [(1 << j, support_mask(c)) for j, c in enumerate(zip(*T.rows))]
+    return linalg.first_violation(enumerate_sigma(T).masks, sources, inside)
+
+
+@settings(max_examples=150)
+@given(st.one_of(operators(), sparse_operators()))
+def test_avoiding_masks_decide_as_the_sigma_scan(T):
+    sigma = enumerate_sigma(T)
+    assert linalg.avoiding_masks(_column_space(T), linalg.Blocks.atoms(T.n)) <= sigma.masks
+    for check, inside in ((is_sbp, False), (is_scp, True)):
+        res = check(T)
+        assert res.holds == (_sigma_scan(T, inside) is None)
+        if not res.holds:
+            assert replay_witness(T, res.witness)
+
+
 # -- one enumeration budget for both models ----------------------------------------
 
 
@@ -399,3 +429,60 @@ def test_oracles_do_not_import_the_engine():
             continue
         engine += [name for name in names if "linalg" in name.split(".")]
     assert not engine
+
+
+# -- decisions above the budget: only listings enumerate --------------------------
+
+
+def test_wce_form_above_the_budget_decomposes():
+    form = gen_random_wce(7, 24)
+    T = form.to_operator()
+    with pytest.raises(BudgetExceededError):
+        enumerate_sigma(T)
+    assert decompose_wce(T) == form
+    assert is_sbp(T) and is_scp(T)
+
+
+def test_norm_above_the_budget_is_a_bracket():
+    T = gen_random_operator(3, 24, 1.0)
+    with pytest.raises(BudgetExceededError):
+        enumerate_sigma(T)
+    assert isinstance(operator_norm(T.space, T), IntervalValue)
+    for check in (is_sbp, is_scp):
+        res = check(T)
+        assert not res.holds and replay_witness(T, res.witness)
+
+
+def _leaky_stairs(pieces: int) -> FiniteRankOp:
+    """The stairs operator plus a term that carries the first piece's mass
+    to the last piece: supports {last} and all but last break both laws."""
+    T = parse_frop(_stairs_frop(pieces))
+    last = Fraction(pieces - 1, pieces)
+    leak = (PiecewisePoly.indicator(0, Fraction(1, pieces)), PiecewisePoly.indicator(last, 1))
+    return FiniteRankOp(T.terms + (leak,))
+
+
+@pytest.mark.parametrize("leak", [False, True])
+def test_interval_laws_above_the_budget_decide(leak):
+    T = _leaky_stairs(21) if leak else parse_frop(_stairs_frop(21))
+    with pytest.raises(BudgetExceededError):
+        frop_range_supports(T)
+    for check in (frop_is_sbp, frop_is_scp):
+        res = check(T)
+        assert res.holds != leak
+        if leak:
+            assert replay_frop_witness(T, res.witness)
+
+
+def test_decisions_enumerate_no_supports(monkeypatch):
+    masks = _counting(monkeypatch, "support_masks")
+    space = AtomicSpace.lp(4, 2)
+    # neither SBP nor rank one (a Frobenius bracket), then a WCE form
+    not_sbp = [[1, 0, 2, 0], [0, 1, 0, 0], [1, 1, 2, 0], [0, 0, 0, 3]]
+    wce = [[1, 2, 0, 0], [3, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5]]
+    for rows in (not_sbp, wce):
+        T = Operator.from_rows(space, rows)
+        is_sbp(T), is_scp(T), decompose_wce(T), operator_norm(space, T)
+    for T in (make_sbp_not_scp_operator(), _leaky_stairs(4)):
+        frop_is_sbp(T), frop_is_scp(T)
+    assert masks == []

@@ -16,6 +16,7 @@ from semiband.interval import (
     _mask_region,
     _bumps,
     _range_enumeration,
+    _range_items,
     _segments,
     FiniteRankOp,
     IntervalRegion,
@@ -488,6 +489,21 @@ def test_range_listing_equals_the_region_reference(T):
     assert frop_range_supports(T) == tuple(sorted(regions, key=lambda r: (r.measure(), r.intervals)))
     for m in range(1 << len(segs)):
         assert _mask_region(segs, m) == region(m)
+
+
+@settings(max_examples=150)
+@given(_frops())
+def test_avoiding_masks_decide_as_the_range_scan(T):
+    # the semi laws scanned over every range support are the reference
+    bumps, blocks = _bumps(T)
+    sources = [(1 << b.piece, b.item.mask) for b in bumps]
+    masks = _range_enumeration(T)
+    assert linalg.avoiding_masks(_range_items(T), blocks) <= masks
+    for check, inside in ((frop_is_sbp, False), (frop_is_scp, True)):
+        res = check(T)
+        assert res.holds == (linalg.first_violation(masks, sources, inside) is None)
+        if not res.holds:
+            assert replay_frop_witness(T, res.witness)
 
 
 def _rank(rows, dim):

@@ -486,16 +486,19 @@ def _bump_items(T: FiniteRankOp) -> list[linalg.Item]:
 def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
     """A function g with supp(Tg) equal to the region, exactly: a
     combination of the bumps realized by the engine; raises if the region
-    is not a union of pieces or not achievable."""
+    is not a union of pieces or not achievable.  Each interval of the
+    region is the run of pieces from the one starting at its lower end to
+    the one ending at its upper end."""
     segs = _segments(T)
+    starts = {lo: i for i, (lo, _) in enumerate(segs)}
+    ends = {hi: i for i, (_, hi) in enumerate(segs)}
     target = 0
-    for pi, (lo, hi) in enumerate(segs):
-        if S.contains(IntervalRegion.of((lo, hi))):
-            target |= 1 << pi
+    for lo, hi in S.intervals:
+        if lo not in starts or hi not in ends:
+            raise UnachievableSupportError(f"range support {S!r} is not a union of pieces")
+        target |= (2 << ends[hi]) - (1 << starts[lo])
     bumps, blocks = _bumps(T)
-    hit = None
-    if _mask_region(segs, target) == S:
-        hit = linalg.realize(_bump_items(T), target, blocks)
+    hit = linalg.realize(_bump_items(T), target, blocks)
     if hit is None:
         raise UnachievableSupportError(f"range support {S!r} not achievable")
     per_piece: list[list[Fraction]] = [[] for _ in segs]

@@ -27,8 +27,10 @@ from .atomic import (
     basis_vector,
     band_contains,
     is_disjoint,
+    mask_atoms,
     norm_value,
     support_mask,
+    vec_scale,
     zero_vector,
 )
 from .errors import (
@@ -37,7 +39,7 @@ from .errors import (
     UnachievableSupportError,
     ValidationError,
 )
-from .values import ExactValue, IntervalValue, Value, multiply, pow_enclosure, sqrt_value
+from .values import ExactValue, IntervalValue, Value, multiply, pow_enclosure, sqrt_value, value_max
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class Operator:
 
     @staticmethod
     def from_rows(space: AtomicSpace, rows) -> "Operator":
-        return Operator(space, tuple(tuple(Fraction(x) for x in r) for r in rows))
+        return Operator(space, tuple(map(tuple, rows)))
 
     @staticmethod
     def zero(space: AtomicSpace) -> "Operator":
@@ -427,94 +429,95 @@ def replay_witness(T: Operator, w: Witness) -> bool:
         def attained(m: int) -> bool:
             return m == 0 or linalg.realize(items, m, blocks) is not None
 
+        # a and b are attained by Tf and Tg themselves
         a, b = support_mask(apply(T, f)), support_mask(apply(T, g))
-        return (
-            attained(a)
-            and attained(b)
-            and (
-                not attained(a | b)
-                or not attained(a & b)
-                or (a & b == a and not attained(b & ~a))
-            )
-        )
+        return not attained(a | b) or not attained(a & b) or (a & b == a and not attained(b & ~a))
     raise ValidationError(f"unknown witness kind {w.kind!r}")
 
 
-def _rank_one_factors(T: Operator) -> tuple[Vector, Vector] | None:
-    """If T = u psi^T, return (u, psi) with u scaled to leading entry 1."""
-    items = _column_space(T)
-    if len(items) != 1:
-        return None
-    it = items[0]
-    lead_idx = (it.mask & -it.mask).bit_length() - 1
-    u = linalg.fractions(it.vec, it.vec[lead_idx])
-    psi = tuple(T.column(j)[lead_idx] for j in range(1, T.n + 1))
-    return u, psi
+@linalg.per_operator
+def _column_blocks(T: Operator) -> tuple[tuple[int, Vector, Vector], ...] | None:
+    """T as a sum of rank-one blocks u_j psi_j^T with the u_j pairwise
+    disjoint and the psi_j pairwise disjoint, as (supp u_j, u_j, psi_j)
+    ordered by lowest atom; None if T is no such sum.
+
+    T is such a sum exactly when nonzero columns with one support are
+    proportional and columns with different supports are disjoint.  Then
+    u_j is a column of support j scaled to 1 at its lowest atom a, and
+    psi_j is row a of T.
+    """
+    firsts: dict[int, tuple[int, Vector]] = {}
+    seen = 0
+    for col in zip(*T.rows):
+        m = support_mask(col)
+        if not m:
+            continue
+        if m in firsts:
+            a, ref = firsts[m]
+            if any(col[i - 1] * ref[a] != ref[i - 1] * col[a] for i in mask_atoms(m)):
+                return None
+        elif seen & m:
+            return None
+        else:
+            firsts[m] = ((m & -m).bit_length() - 1, col)
+            seen |= m
+    ordered = sorted(firsts.items(), key=lambda kv: kv[0] & -kv[0])
+    return tuple((m, vec_scale(1 / col[a], col), T.rows[a]) for m, (a, col) in ordered)
+
+
+def block_sum_norm(space: AtomicSpace, pairs) -> Value:
+    """max_j ||psi_j||_dual ||u_j|| over the (u_j, psi_j) of a sum of
+    rank-one blocks with pairwise disjoint u_j and pairwise disjoint psi_j.
+
+    Exact at every p: the disjoint u_j split ||Tf||^p, the disjoint psi_j
+    split ||f||^p, and Holder applies block by block.
+    """
+    products = [multiply(norm_value(space, psi, "dual"), norm_value(space, u, "primal")) for u, psi in pairs]
+    return value_max(products) if products else ExactValue(Fraction(0))
 
 
 def operator_norm(space: AtomicSpace, T: Operator) -> Value:
     """The induced operator norm on the given space.
 
-    Exact for p in {1, inf} (weighted column / row formulas).  At p = 2 an
-    exact square for rank-one and block-decomposable operators, and for
-    any other matrix a certified interval up to the Frobenius bound.  At
-    any other p a certified enclosure.
+    Exact for p in {1, inf} (weighted column / row formulas).  At any other
+    p exact (an exact square at p = 2) for a disjoint sum of rank-one
+    blocks (``block_sum_norm``), rank-one and WCE forms among them; for
+    any other matrix a certified interval.
     """
     if space.n != T.n:
         raise DimensionMismatchError("space and operator dimensions differ")
     p = space.norm.p
     w = space.norm.weights
     n = T.n
-    if all(all(x == 0 for x in row) for row in T.rows):
-        return ExactValue(Fraction(0))
     if p == 1:
-        return ExactValue(
-            max(
-                sum(w[i] * abs(T.entry(i + 1, j)) for i in range(n)) / w[j - 1]
-                for j in range(1, n + 1)
-            )
-        )
+        return ExactValue(max(sum(wi * abs(x) for wi, x in zip(w, c)) / wj for c, wj in zip(zip(*T.rows), w)))
     if p == INF:
-        return ExactValue(
-            max(
-                w[i - 1] * sum(abs(T.entry(i, j)) / w[j - 1] for j in range(1, n + 1))
-                for i in range(1, n + 1)
-            )
-        )
-    factors = _rank_one_factors(T)
-    if factors is not None:
-        u, psi = factors
-        return multiply(norm_value(space, psi, "dual"), norm_value(space, u, "primal"))
-    from .wce import WceForm, decompose_wce, wce_operator_norm  # wce builds on this module
-
-    decomp = decompose_wce(T)
-    if isinstance(decomp, WceForm):
-        return wce_operator_norm(space, decomp)
+        return ExactValue(max(wi * sum(abs(x) / wj for x, wj in zip(r, w)) for r, wi in zip(T.rows, w)))
+    blocks = _column_blocks(T)
+    if blocks is not None:
+        return block_sum_norm(space, ((u, psi) for _, u, psi in blocks))
     # certified bounds: columns give lower bounds, the triangle/Holder
     # estimate ||Tx|| <= sum |x_j| ||T e_j|| gives an upper bound.
     lo = Fraction(0)
+    col_hi = []
     for j in range(1, n + 1):
-        col = T.column(j)
-        cl, _ = norm_value(space, col, "primal").enclosure()
-        el, eh = norm_value(space, basis_vector(n, j), "primal").enclosure()
+        cl, ch = norm_value(space, T.column(j), "primal").enclosure()
+        _, eh = norm_value(space, basis_vector(n, j), "primal").enclosure()
         lo = max(lo, cl / eh)
+        col_hi.append(ch)
     if p == 2:
         # Frobenius-style bound on the weight-conjugated matrix; the sum
         # under the root is rational, so the bound is certified.
-        frob = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                frob += w[i] * T.rows[i][j] ** 2 / w[j]
+        frob = sum(wi * x * x / wj for r, wi in zip(T.rows, w) for x, wj in zip(r, w))
         _, hi = sqrt_value(frob).enclosure()
     else:
         # Holder: sum |x_j| a_j <= ||x||_{p,w} * (sum a_j^q w_j^(1-q))^(1/q)
         q = p / (p - 1)
         s_hi = Fraction(0)
-        for j in range(1, n + 1):
-            _, ch = norm_value(space, T.column(j), "primal").enclosure()
+        for wj, ch in zip(w, col_hi):
             if ch == 0:
                 continue
-            _, wh = pow_enclosure(w[j - 1], 1 - q)
+            _, wh = pow_enclosure(wj, 1 - q)
             _, ah = pow_enclosure(ch, q)
             s_hi += wh * ah
         _, hi = pow_enclosure(s_hi, 1 / q) if s_hi > 0 else (Fraction(0), Fraction(0))

@@ -4,9 +4,12 @@ An operator of this kind acts as ``Tf = sum_j <psi_j, f> u_j`` where the
 blocks A_j are pairwise disjoint atom sets hosting both supp(u_j) and
 supp(psi_j).  Blockwise averaging is the classical special case.  The
 decomposition routine recovers this form from a raw matrix exactly when
-the matrix is semi band preserving, reading it off the columns: the
-blocks are the distinct supports of the nonzero columns, which are the
-minimal achievable supports, and no support is enumerated.
+the matrix is semi band preserving, reading it off the columns with
+``operators._column_blocks``: the blocks are the distinct supports of
+the nonzero columns, which are the minimal achievable supports, and no
+support is enumerated.  The same column reading gives ``operator_norm``
+its exact value, and ``wce_operator_norm`` shares its max-of-products
+function, ``operators.block_sum_norm``.
 """
 
 from __future__ import annotations
@@ -34,13 +37,15 @@ from .errors import IndeterminateComparisonError, InternalConsistencyError, Vali
 from .operators import (
     Operator,
     Witness,
+    _column_blocks,
+    block_sum_norm,
     is_projection,
     is_sbp,
     is_scp,
     operator_norm,
     replay_witness,
 )
-from .values import ExactValue, compare, multiply, value_max
+from .values import compare, multiply
 
 
 @dataclass(frozen=True)
@@ -162,35 +167,22 @@ def decompose_wce(T: Operator) -> WceForm | Witness:
     """Recover the weighted conditional expectation form of T.
 
     Succeeds exactly when T is semi band preserving; otherwise the SBP
-    violation witness is returned.  The form is read off the columns: the
-    blocks are the distinct supports of the nonzero columns, u_j is a
-    column with support block j scaled to a leading 1, and psi_j is the
-    row of the block's lowest atom.  The reassembled matrix is checked
-    against T entrywise.
+    violation witness is returned.  The form is T's column blocks
+    (``operators._column_blocks``): the blocks are the distinct supports
+    of the nonzero columns, u_j is a column with support block j scaled
+    to a leading 1, and psi_j is the row of the block's lowest atom.  The
+    reassembled matrix is checked against T entrywise.
     """
     check = is_sbp(T)
     if not check:
         return check.witness
-    n = T.n
-    columns: dict[int, Vector] = {}
-    for j in range(1, n + 1):
-        col = T.column(j)
-        m = support_mask(col)
-        if m:
-            columns.setdefault(m, col)
-    blocks, us, psis = [], [], []
-    for m, col in columns.items():
-        b = SupportSet.from_mask(m)
-        lead_atom = min(b)
-        psi = tuple(T.entry(lead_atom, i) for i in range(1, n + 1))
-        if not support(psi) <= b:
-            raise InternalConsistencyError(
-                f"recovered functional escapes block {b!r}; decomposition defect"
-            )
-        blocks.append(b)
-        us.append(vec_scale(1 / col[lead_atom - 1], col))
-        psis.append(psi)
-    form = make_wce(T.space, blocks, us, psis)
+    blocks = _column_blocks(T)
+    if blocks is None:
+        raise InternalConsistencyError("SBP matrix is not a sum of disjoint rank-one blocks")
+    masks, us, psis = zip(*blocks) if blocks else ((), (), ())
+    if any(support_mask(psi) & ~m for m, psi in zip(masks, psis)):
+        raise InternalConsistencyError("a recovered functional escapes its block; decomposition defect")
+    form = WceForm(T.space, tuple(map(SupportSet.from_mask, masks)), us, psis)
     if form.to_operator().rows != T.rows:
         raise InternalConsistencyError("reassembled matrix differs from the input")
     return form
@@ -198,12 +190,7 @@ def decompose_wce(T: Operator) -> WceForm | Witness:
 
 def wce_operator_norm(space: AtomicSpace, form: WceForm) -> "Value":
     """max_j ||psi_j||_dual * ||u_j||; exact thanks to the disjoint blocks."""
-    if not form.blocks:
-        return ExactValue(Fraction(0))
-    return value_max(
-        multiply(norm_value(space, pj, "dual"), norm_value(space, uj, "primal"))
-        for uj, pj in zip(form.u, form.psi)
-    )
+    return block_sum_norm(space, zip(form.u, form.psi))
 
 
 def rank_one(space: AtomicSpace, u: Vector, psi: Vector) -> Operator:

@@ -32,6 +32,7 @@ from semiband import (
     replay_witness,
     verify_sigma_closures,
 )
+import semiband
 from semiband import BudgetExceededError, linalg
 from semiband.atomic import support_mask
 from semiband.cli import main
@@ -472,6 +473,23 @@ def test_interval_laws_above_the_budget_decide(leak):
         assert res.holds != leak
         if leak:
             assert replay_frop_witness(T, res.witness)
+
+
+def test_norm_neither_eliminates_nor_decides_sbp(monkeypatch):
+    ech = _counting(monkeypatch, "echelonize")
+    sbp = []
+    for module in (semiband.operators, semiband.wce):
+        real = module.is_sbp
+        monkeypatch.setattr(module, "is_sbp", lambda T, real=real: sbp.append(1) or real(T))
+    dense = gen_random_operator(5, 4, 1.0).rows
+    rank_one = [[1, 2, 0, 3], [2, 4, 0, 6], [0] * 4, [3, 6, 0, 9]]
+    wce_form = [[1, 2, 0, 0], [3, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5]]
+    block_sum = [[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5], [0, 0, 0, 1]]
+    for p in (2, Fraction(3, 2)):
+        space = AtomicSpace.lp(4, p)
+        for rows in (dense, rank_one, wce_form, block_sum):
+            operator_norm(space, Operator.from_rows(space, rows))
+    assert ech == [] and sbp == []
 
 
 def test_decisions_enumerate_no_supports(monkeypatch):

@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiband import (
     AtomicSpace,
@@ -32,7 +35,8 @@ from semiband import (
 from semiband.atomic import support
 from semiband.errors import ValidationError
 from semiband.generators import gen_random_wce, perturb_off_block
-from semiband.values import IntervalValue, compare, exact, multiply
+from semiband.operators import _column_blocks, block_sum_norm
+from semiband.values import ExactValue, IntervalValue, SqrtValue, compare, exact, multiply
 from semiband.wce import WceForm
 
 
@@ -222,6 +226,78 @@ def test_wce_norm_agrees_with_operator_norm():
         for p in (1, 2, "inf"):
             sp = AtomicSpace.lp(form.space.n, p)
             assert compare(wce_operator_norm(sp, form), operator_norm(sp, T)) == 0
+
+
+_ENTRIES = st.sampled_from([Fraction(x) for x in (1, -1, 2, -3, "1/2", "-2/3", "5/4")])
+
+
+@st.composite
+def block_sums(draw, max_n=6):
+    """(n, pairs): rank-one blocks u_j psi_j^T with pairwise disjoint u_j
+    and pairwise disjoint psi_j, each psi_j free to leave supp u_j."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    u_label = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+    psi_label = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+    pairs = []
+    for j in range(1, k + 1):
+        if j not in u_label or j not in psi_label:
+            continue
+        u = tuple(draw(_ENTRIES) if lab == j else Fraction(0) for lab in u_label)
+        psi = tuple(draw(_ENTRIES) if lab == j else Fraction(0) for lab in psi_label)
+        pairs.append((u, psi))
+    return n, pairs
+
+
+def _block_sum(space, pairs) -> Operator:
+    n = space.n
+    return Operator(
+        space,
+        tuple(tuple(sum((u[i] * psi[j] for u, psi in pairs), Fraction(0)) for j in range(n)) for i in range(n)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_sums(), st.sampled_from([1, "inf"]), st.lists(st.sampled_from(["1", "2", "1/3"]), min_size=6, max_size=6))
+def test_block_formula_equals_closed_formulas(case, p, weights):
+    # the closed column (p = 1) and row (p = inf) formulas against the
+    # blockwise max of products, including psi_j that escape supp u_j
+    n, pairs = case
+    sp = AtomicSpace.lp(n, p, weights[:n])
+    T = _block_sum(sp, pairs)
+    assert _column_blocks(T) is not None
+    assert compare(block_sum_norm(sp, pairs), operator_norm(sp, T)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_sums(max_n=4))
+def test_block_sum_norm_is_the_top_singular_value(case):
+    # at p = 2 with unit weights the squared norm is the largest
+    # eigenvalue of T^T T (sympy as the oracle)
+    n, pairs = case
+    sp = AtomicSpace.lp(n, 2)
+    T = _block_sum(sp, pairs)
+    nrm = operator_norm(sp, T)
+    square = nrm.square if isinstance(nrm, SqrtValue) else nrm.value**2
+    M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in T.rows])
+    top = max((M.T * M).eigenvals(), key=lambda e: float(e))
+    assert sympy.Rational(square.numerator, square.denominator) == top
+
+
+def test_block_sum_with_escaping_functional_has_exact_norm():
+    sp = AtomicSpace.lp(3, 2)
+    T = Operator.from_rows(sp, [[1, "1/2", 0], [0, 0, 0], [0, 0, 2]])
+    assert not is_sbp(T)
+    assert operator_norm(sp, T) == ExactValue(Fraction(2))
+
+
+def test_column_blocks_refuse_non_block_sums():
+    sp = AtomicSpace.lp(4, 2)
+    assert _column_blocks(Operator.from_rows(sp, [[1, 1, 0, 0], [1, 2, 0, 0], [0] * 4, [0] * 4])) is None
+    rows = [list(r) for r in make_averaging(sp, [SupportSet.of(1, 2), SupportSet.of(3, 4)]).rows]
+    assert _column_blocks(Operator.from_rows(sp, rows)) is not None
+    rows[0][2] = 1  # column 3 now meets block {1, 2} as well as {3, 4}
+    assert _column_blocks(Operator.from_rows(sp, rows)) is None
 
 
 def test_probe_p1_contains_escape_projection():

@@ -265,14 +265,14 @@ def _group_masks(items: list[Item], blocks: Blocks) -> tuple[Collection[int], Co
 def first_violation(
     masks: Iterable[int], sources: Sequence[tuple[int, int]], inside: bool
 ) -> tuple[int, int] | None:
-    """The first support S (ascending) and source index k breaking a semi law.
+    """The first support S (ascending) and source index k breaking a semi
+    law: the interval model's scan, as a piece has no single row to read.
 
-    A source is ``(bit, image)``: the block an input lives on and the mask
-    of its image.  With ``inside`` false this is semi band preservation, an
+    A source is ``(bit, image)``: the block of an input and the mask of its
+    image.  With ``inside`` false the law is semi band preservation, an
     input off S must have an image off S; with ``inside`` true it is semi
     containment, an input in S must have an image in S.  Linearity and the
-    union bound on supports make the sources, one per spanning input, a
-    complete test.
+    union bound on supports make one source per spanning input complete.
     """
     for s in sorted(masks):
         breach = ~s if inside else s
@@ -283,16 +283,15 @@ def first_violation(
 
 
 def avoiding_masks(items: list[Item], blocks: Blocks) -> set[int]:
-    """A complete family of supports for ``first_violation``: the span's
-    union mask and, per live block b, the largest support avoiding b.
+    """The supports ``first_violation`` scans in the interval model: the
+    span's union mask and, per live block b, the largest support avoiding b.
 
     The supports avoiding b are those of the span constrained to vanish
     on b, and a generic element of it attains their union.  So a semi law
     broken at a support S is also broken at the largest support avoiding
     the source block (semi band) or the breached block (semi containment).
     A block the span never reaches is avoided by the union mask itself.
-    Masks do not depend on scale, so the passengers and denominators are
-    dropped first.
+    Masks ignore scale, so the passengers and denominators are dropped first.
     """
     items, full = [Item(it.vec, it.mask, (), 1) for it in items], union_mask(items)
     return {full, *(union_mask(constrain(items, b, blocks)) for b in blocks.coords if full & b)}

@@ -4,11 +4,11 @@ family of achievable range supports.
 A candidate subset S of atoms is achievable exactly when the subspace of
 range elements vanishing off S is not contained in any coordinate
 hyperplane over S; over the rationals a finite union of proper subspaces
-cannot cover a subspace, so this test is exact.  The semi laws are decided
-on at most n + 1 supports, the range's own and the largest one avoiding
-each atom (``linalg.avoiding_masks``), so SBP, SCP, the WCE form and the
-norm enumerate nothing.  ``SigmaTable``, the set of all achievable
-supports, is built only for its listing and the closure laws.
+cannot cover a subspace, so this test is exact.  ``SigmaTable``, the set
+of all achievable supports, is built only for its listing and the closure
+laws.  Atom a reads the range as g -> row_a . g, so SBP and SCP are read
+off the classes of proportional rows (``_row_classes``) and the WCE form
+and the norm off the columns (``_column_blocks``), with no elimination.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .atomic import (
 )
 from .errors import (
     DimensionMismatchError,
-    InternalConsistencyError,
     UnachievableSupportError,
     ValidationError,
 )
@@ -191,33 +190,22 @@ def enumerate_sigma(T: Operator) -> SigmaTable:
     return SigmaTable(T.n, masks, linalg.union_mask(items), minimal)
 
 
-def _realize(T: Operator, mask: int) -> Vector:
-    """A vector g with supp(Tg) the atoms of ``mask``, realized by the
-    engine from the echelon items of the column space (their order fixes
-    g); raises if no range element has that support."""
-    if mask == 0:
-        return zero_vector(T.n)
-    hit = linalg.realize(_column_space(T), mask, linalg.Blocks.atoms(T.n))
-    if hit is None:
-        raise UnachievableSupportError(f"support {SupportSet.from_mask(mask)!r} not achievable")
-    return hit[1]
-
-
 def realize_support(T: Operator, S: SupportSet) -> Vector:
-    """A vector g with supp(Tg) = S; raises if S is not achievable, which is
-    when the range constrained to vanish off S is not live on all of S."""
-    return _realize(T, S.mask)
+    """A vector g with supp(Tg) = S, from the column-space echelon items
+    (their order fixes g); raises if S is not achievable, which is when the
+    range constrained to vanish off S is not live on all of S."""
+    if not S.mask:
+        return zero_vector(T.n)
+    hit = linalg.realize(_column_space(T), S.mask, linalg.Blocks.atoms(T.n))
+    if hit is None:
+        raise UnachievableSupportError(f"support {S!r} not achievable")
+    return hit[1]
 
 
 def minimal_supports(sigma: SigmaTable) -> tuple[SupportSet, ...]:
     """Nonempty members of the table minimal under inclusion, ordered by
     their smallest atom (ties by bitmask)."""
     return tuple(SupportSet.from_mask(m) for m in sigma.minimal)
-
-
-@linalg.per_operator
-def _column_masks(T: Operator) -> list[int]:
-    return [support_mask(T.column(j)) for j in range(1, T.n + 1)]
 
 
 def is_band_preserving(T: Operator) -> PredicateResult:
@@ -239,7 +227,7 @@ def is_band_preserving(T: Operator) -> PredicateResult:
 def is_disjointness_preserving(T: Operator) -> PredicateResult:
     """Columns must have pairwise disjoint supports."""
     n = T.n
-    masks = _column_masks(T)
+    masks = [support_mask(c) for c in zip(*T.rows)]
     for i in range(n):
         for j in range(i + 1, n):
             if masks[i] & masks[j]:
@@ -305,37 +293,56 @@ def is_beta(T: Operator) -> PredicateResult:
 
 
 @linalg.per_operator
-def _semi_masks(T: Operator) -> set[int]:
-    """The supports the semi laws are decided on (``linalg.avoiding_masks``
-    of the column space), kept on T for both laws."""
-    return linalg.avoiding_masks(_column_space(T), linalg.Blocks.atoms(T.n))
+def _row_classes(T: Operator) -> tuple[int | None, ...]:
+    """Per row, a class shared with its nonzero multiples (None for a zero
+    row), keyed on the nonzero entries scaled to 1 at the first one."""
+    ids: dict[tuple, int] = {}
+    classes = []
+    for row in T.rows:
+        live = [(j, x) for j, x in enumerate(row) if x]
+        key = tuple((j, x / live[0][1]) for j, x in live)
+        classes.append(ids.setdefault(key, len(ids)) if key else None)
+    return tuple(classes)
 
 
-def _first_atom_violation(T: Operator, inside: bool) -> tuple[int, Vector] | None:
-    """(i, g) for the first support S = supp(Tg) and atom i that break the
-    semi law ``linalg.first_violation`` names by ``inside``.
+def _separating(live: Vector, dead: Vector) -> Vector:
+    """A g with dead . g = 0 != live . g, for a nonzero row ``live`` that
+    is no multiple of ``dead``.  With l the first atom of ``dead`` and k
+    the first with live[k] dead[l] != live[l] dead[k] (k exists, or live
+    would be a multiple of dead), g = dead[l] e_k - dead[k] e_l."""
+    n = len(live)
+    l = next((i for i, x in enumerate(dead) if x), None)
+    if l is None:
+        return basis_vector(n, next(j for j, x in enumerate(live) if x) + 1)
+    k = next(k for k in range(n) if live[k] * dead[l] != live[l] * dead[k])
+    g = [Fraction(0)] * n
+    g[k], g[l] = dead[l], -dead[k]
+    return tuple(g)
 
-    The supports scanned are the range's own support and, per atom, the
-    largest support avoiding it: a law broken at any support is broken at
-    one of these, so no support is enumerated.
-    """
-    sources = [(1 << j, m) for j, m in enumerate(_column_masks(T))]
-    hit = linalg.first_violation(_semi_masks(T), sources, inside)
-    if hit is None:
-        return None
-    s_mask, j = hit
-    return j + 1, _realize(T, s_mask)
+
+def _semi_breach(T: Operator, scp: bool) -> tuple[int, Vector] | None:
+    """(b, g) for the first nonzero T[a][b], row-major, whose rows are in
+    different classes (for SCP a zero row b is no breach), with b 1-indexed
+    and Tg live at a and dead at b (SBP) or the reverse (SCP)."""
+    classes = _row_classes(T)
+    for a, row in enumerate(T.rows):
+        for b, x in enumerate(row):
+            if x and classes[b] != classes[a] and not (scp and classes[b] is None):
+                live, dead = (T.rows[b], row) if scp else (row, T.rows[b])
+                return b + 1, _separating(live, dead)
+    return None
 
 
 @linalg.per_operator
 def is_sbp(T: Operator) -> PredicateResult:
     """Semi band preserving: f disjoint from Tg forces Tf disjoint from Tg.
 
-    Reduction: for every achievable support S and every atom i outside S,
-    the column T e_i must avoid S (necessity with f = e_i; sufficiency by
-    linearity and the union bound on supports).
+    Some Tg vanishes at b and not at a exactly when row a is no multiple of
+    row b, so SBP holds iff every nonzero T[a][b] has rows a and b in one
+    class: else f = e_b breaks it, and if so, (Tf)_a != 0 needs some b in
+    supp f with T[a][b] != 0, where (Tg)_b = 0 forces (Tg)_a = 0.
     """
-    hit = _first_atom_violation(T, inside=False)
+    hit = _semi_breach(T, scp=False)
     if hit is None:
         return PredicateResult(True)
     i, g = hit
@@ -347,10 +354,10 @@ def is_sbp(T: Operator) -> PredicateResult:
 def is_scp(T: Operator) -> PredicateResult:
     """Semi containment preserving: f in band(Tg) forces Tf in band(Tg).
 
-    Reduction: for every achievable support S and every atom i inside S,
-    the column T e_i must stay inside S.
+    As for ``is_sbp`` with a and b swapped: SCP holds iff every nonzero
+    T[a][b] has rows a and b in one class or row b zero.
     """
-    hit = _first_atom_violation(T, inside=True)
+    hit = _semi_breach(T, scp=True)
     if hit is None:
         return PredicateResult(True)
     i, g = hit
@@ -381,30 +388,24 @@ def verify_sigma_closures(T: Operator, sigma: SigmaTable) -> ClosureReport:
     supports make the table the Boolean algebra they generate.  Two
     overlapping ones meet in a nonempty proper subset of each, which is
     not in the table, so intersection fails, and with it relative
-    complement (A & B is A minus (A minus B)).  Only then is the table
-    scanned pair by pair, to pick the first failing intersection as the
-    witness.
+    complement (A & B is A minus (A minus B)).  The witness is the first
+    minimal support that meets an earlier one, realized with that one:
+    their intersection is a nonempty proper subset of a minimal support.
     """
     seen = 0
-    for m in sigma.minimal:
-        if seen & m:
-            break
-        seen |= m
-    else:
-        return ClosureReport(True, True, True)
-    masks = sorted(sigma.masks)
-    for ai, a in enumerate(masks):
-        for b in masks[ai:]:
-            if (a & b) not in sigma.masks:
-                witness = Witness(
-                    "closure-violation",
-                    _realize(T, a),
-                    _realize(T, b),
-                    f"intersection of {SupportSet.from_mask(a)!r} and "
-                    f"{SupportSet.from_mask(b)!r} misses {SupportSet.from_mask(a & b)!r}",
-                )
-                return ClosureReport(True, False, False, witness)
-    raise InternalConsistencyError("minimal supports overlap yet the table is closed under intersection")
+    for i, a in enumerate(sigma.minimal):
+        if seen & a:
+            b = next(b for b in sigma.minimal[:i] if a & b)
+            A, B = SupportSet.from_mask(a), SupportSet.from_mask(b)
+            witness = Witness(
+                "closure-violation",
+                realize_support(T, B),
+                realize_support(T, A),
+                f"intersection of {B!r} and {A!r} misses {A & B!r}",
+            )
+            return ClosureReport(True, False, False, witness)
+        seen |= a
+    return ClosureReport(True, True, True)
 
 
 def replay_witness(T: Operator, w: Witness) -> bool:

@@ -166,12 +166,12 @@ def averaging_form(space: AtomicSpace, partition: Sequence[SupportSet]) -> WceFo
 def decompose_wce(T: Operator) -> WceForm | Witness:
     """Recover the weighted conditional expectation form of T.
 
-    Succeeds exactly when T is semi band preserving; otherwise the SBP
-    violation witness is returned.  The form is T's column blocks
-    (``operators._column_blocks``): the blocks are the distinct supports
-    of the nonzero columns, u_j is a column with support block j scaled
-    to a leading 1, and psi_j is the row of the block's lowest atom.  The
-    reassembled matrix is checked against T entrywise.
+    Succeeds exactly when T is semi band preserving (read off the row
+    classes); otherwise the SBP violation witness is returned.  The form is
+    T's column blocks (``operators._column_blocks``): the distinct supports
+    of the nonzero columns, u_j a column of support block j scaled to a
+    leading 1, psi_j the row of the block's lowest atom.  The checks below
+    compare the two independent readings, rows and columns, entrywise.
     """
     check = is_sbp(T)
     if not check:

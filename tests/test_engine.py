@@ -1,11 +1,12 @@
 """The integer support engine and its fast paths: golden report bytes, the
 closure and minimal-support shortcuts and the SBP/SCP scan against their
-literal definitions, the avoiding masks against the scan over all of Σ,
-SBP against its matrix form and the WCE blocks against the minimal
-supports, realizers over large coprime denominators and against the
-enumerated supports, witness replay, the shared enumeration budget and the
-decisions it does not guard, engine state built once per operator, and
-oracles that stay independent of the engine."""
+literal definitions, the row-class SBP/SCP verdicts and the avoiding masks
+against the scan over all of Σ, SBP against its matrix form and the WCE
+blocks against the minimal supports, realizers over large coprime
+denominators and against the enumerated supports, witness replay, the
+shared enumeration budget and the decisions it does not guard, engine
+state built once per operator, atomic semi laws that eliminate nothing,
+and oracles that stay independent of the engine."""
 
 import ast
 import itertools
@@ -47,7 +48,7 @@ from semiband.interval import (
     make_sbp_not_scp_operator,
     replay_frop_witness,
 )
-from semiband.operators import ClosureReport, Witness, _column_space, is_scp, operator_norm
+from semiband.operators import Witness, _column_space, is_scp, operator_norm
 from semiband.oracles import sbp_scp_exhaustive
 from semiband.serialize import build_analysis_report, build_interval_report, parse_frop, parse_operator
 from semiband.values import IntervalValue
@@ -143,36 +144,15 @@ def operators(draw, entry=SMALL, max_n=8):
     return Operator.from_rows(AtomicSpace.lp(n, 2), rows)
 
 
-def quadratic_closures(T, sigma) -> ClosureReport:
-    """Every pair scanned for union and intersection, every nested pair for
-    relative complement; the first failing pair is the witness."""
+def quadratic_closures(sigma) -> tuple[bool, bool, bool]:
+    """Union and intersection over every pair, relative complement over
+    every nested pair."""
     masks = sorted(sigma.masks)
-    found = []
-
-    def scan(pairs, law, result):
-        for a, b in pairs:
-            missing = result(a, b)
-            if missing is not None and missing not in sigma.masks:
-                found.append((a, b, law, missing))
-                return False
-        return True
-
     upper = [(a, b) for i, a in enumerate(masks) for b in masks[i:]]
-    union = scan(upper, "union", lambda a, b: a | b)
-    inter = scan(upper, "intersection", lambda a, b: a & b)
-    nested = [(a, b) for a in masks for b in masks]
-    compl = scan(nested, "relative complement", lambda a, b: b & ~a if a & b == a else None)
-    witness = None
-    if found:
-        a, b, law, missing = found[0]
-        witness = Witness(
-            "closure-violation",
-            realize_support(T, SupportSet.from_mask(a)),
-            realize_support(T, SupportSet.from_mask(b)),
-            f"{law} of {SupportSet.from_mask(a)!r} and {SupportSet.from_mask(b)!r} "
-            f"misses {SupportSet.from_mask(missing)!r}",
-        )
-    return ClosureReport(union, inter, compl, witness)
+    union = all(a | b in sigma.masks for a, b in upper)
+    inter = all(a & b in sigma.masks for a, b in upper)
+    compl = all(b & ~a in sigma.masks for a in masks for b in masks if a & b == a)
+    return union, inter, compl
 
 
 @settings(max_examples=80)
@@ -180,8 +160,12 @@ def quadratic_closures(T, sigma) -> ClosureReport:
 def test_closures_equal_quadratic_scan(T):
     sigma = enumerate_sigma(T)
     rep = verify_sigma_closures(T, sigma)
-    assert rep == quadratic_closures(T, sigma)
+    assert (rep.union, rep.intersection, rep.complement) == quadratic_closures(sigma)
+    assert (rep.witness is None) == rep.all_hold()
     if rep.witness is not None:
+        # two overlapping minimal supports
+        a, b = (support_mask(apply(T, v)) for v in (rep.witness.f, rep.witness.g))
+        assert a & b and {a, b} <= set(sigma.minimal)
         assert replay_witness(T, rep.witness)
 
 
@@ -366,7 +350,8 @@ def test_first_violation_is_the_literal_law(masks, sources, inside):
 
 def _sigma_scan(T, inside):
     """The semi law scanned over every support of the range: the reference
-    the avoiding masks are checked against."""
+    the row-class verdicts of ``is_sbp`` and ``is_scp`` are checked
+    against, with the atoms as sources."""
     sources = [(1 << j, support_mask(c)) for j, c in enumerate(zip(*T.rows))]
     return linalg.first_violation(enumerate_sigma(T).masks, sources, inside)
 
@@ -381,6 +366,9 @@ def test_avoiding_masks_decide_as_the_sigma_scan(T):
         assert res.holds == (_sigma_scan(T, inside) is None)
         if not res.holds:
             assert replay_witness(T, res.witness)
+            # f is a unit vector e_b, g has at most two nonzero coordinates
+            assert sorted(res.witness.f) == [0] * (T.n - 1) + [1]
+            assert sum(map(bool, res.witness.g)) <= 2
 
 
 # -- one enumeration budget for both models ----------------------------------------
@@ -490,6 +478,23 @@ def test_norm_neither_eliminates_nor_decides_sbp(monkeypatch):
         for rows in (dense, rank_one, wce_form, block_sum):
             operator_norm(space, Operator.from_rows(space, rows))
     assert ech == [] and sbp == []
+
+
+def test_atomic_semi_laws_eliminate_nothing(monkeypatch):
+    engine = [_counting(monkeypatch, name) for name in ("echelonize", "constrain", "realize", "combine_generic")]
+    dense = gen_random_operator(5, 4, 1.0).rows
+    scp_not_sbp = [[1, Fraction(1, 2), 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
+    wce_form = [[1, 2, 0, 0], [3, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5]]
+    zero_row = [[1, 2, 0, 1], [0, 0, 0, 0], [1, 3, 1, 0], [2, 4, 0, 2]]
+    verdicts = []
+    for rows in (dense, scp_not_sbp, wce_form, zero_row, [[0] * 4] * 4):
+        T = Operator.from_rows(AtomicSpace.lp(4, 2), rows)
+        sbp, scp = is_sbp(T), is_scp(T)
+        verdicts.append((sbp.holds, scp.holds))
+        for res in (sbp, scp):
+            assert res.holds or replay_witness(T, res.witness)
+    assert verdicts == [(False, False), (False, True), (True, True), (False, False), (True, True)]
+    assert engine == [[]] * 4
 
 
 def test_decisions_enumerate_no_supports(monkeypatch):

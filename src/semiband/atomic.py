@@ -18,6 +18,7 @@ from .values import (
     IntervalValue,
     TARGET_WIDTH,
     Value,
+    as_fraction,
     pow_enclosure,
     sqrt_value,
 )
@@ -132,10 +133,10 @@ class NormSpec:
 
     def __post_init__(self):
         if self.p != INF:
-            object.__setattr__(self, "p", Fraction(self.p))
+            object.__setattr__(self, "p", as_fraction(self.p))
             if self.p < 1:
                 raise ValidationError("norm exponent must satisfy p >= 1")
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(map(as_fraction, self.weights))
         if any(w <= 0 for w in ws):
             raise ValidationError("norm weights must be positive")
         object.__setattr__(self, "weights", ws)
@@ -160,8 +161,7 @@ class AtomicSpace:
     def lp(n: int, p, weights: Iterable | None = None) -> "AtomicSpace":
         if weights is None:
             weights = [Fraction(1)] * n
-        p = INF if p in (INF, "inf") else Fraction(p)
-        return AtomicSpace(n, NormSpec(p, tuple(Fraction(w) for w in weights)))
+        return AtomicSpace(n, NormSpec(INF if p in (INF, "inf") else p, tuple(weights)))
 
     def check_vector(self, v: Vector) -> None:
         if len(v) != self.n:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -21,6 +21,7 @@ from .errors import (
     UnachievableSupportError,
     ValidationError,
 )
+from .values import as_fraction
 
 MAX_DEGREE = 16
 MAX_PIECES = 64
@@ -45,7 +46,7 @@ def poly_add(a: Poly, b: Poly) -> Poly:
 
 
 def poly_scale(c, a: Poly) -> Poly:
-    c = Fraction(c)
+    c = as_fraction(c)
     if c == 0:
         return ()
     return tuple(c * x for x in a)
@@ -109,15 +110,6 @@ class IntervalRegion:
 
     def union(self, other: "IntervalRegion") -> "IntervalRegion":
         return IntervalRegion.of(*(self.intervals + other.intervals))
-
-    def intersect(self, other: "IntervalRegion") -> "IntervalRegion":
-        out = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalRegion.of(*out)
 
     def difference(self, other: "IntervalRegion") -> "IntervalRegion":
         out = []
@@ -186,11 +178,9 @@ class PiecewisePoly:
 
     @staticmethod
     def from_pieces(pieces: Iterable[tuple]) -> "PiecewisePoly":
-        norm = []
-        for lo, hi, coeffs in pieces:
-            norm.append((Fraction(lo), Fraction(hi), _strip(tuple(Fraction(c) for c in coeffs))))
         merged: list[tuple[Fraction, Fraction, Poly]] = []
-        for lo, hi, c in norm:
+        for lo, hi, coeffs in pieces:
+            lo, hi, c = as_fraction(lo), as_fraction(hi), _strip(tuple(map(as_fraction, coeffs)))
             if merged and merged[-1][2] == c and merged[-1][1] == lo:
                 merged[-1] = (merged[-1][0], hi, c)
             else:
@@ -212,7 +202,7 @@ class PiecewisePoly:
         pieces = []
         if lo > 0:
             pieces.append((0, lo, ()))
-        pieces.append((lo, hi, tuple(Fraction(c) for c in coeffs)))
+        pieces.append((lo, hi, coeffs))
         if hi < 1:
             pieces.append((hi, 1, ()))
         return PiecewisePoly.from_pieces(pieces)
@@ -237,44 +227,37 @@ class PiecewisePoly:
         return all(not c for _, _, c in self.pieces)
 
 
-def _refine(fs: Sequence[PiecewisePoly]) -> list[tuple[Fraction, Fraction]]:
-    pts = {Fraction(0), Fraction(1)}
-    for f in fs:
-        pts.update(f.breakpoints())
-    spts = sorted(pts)
-    return list(zip(spts, spts[1:]))
+def _walk(fs: Sequence[PiecewisePoly]) -> Iterator[tuple[Fraction, Fraction, tuple[Poly, ...]]]:
+    """The pieces of the common refinement of the functions, in order, each
+    with every function's polynomial there: one merged pass over their
+    sorted piece lists.  With no function, the one piece [0,1]."""
+    pieces = [f.pieces for f in fs]
+    at = [0] * len(pieces)
+    lo = Fraction(0)
+    while True:
+        here = [ps[i] for ps, i in zip(pieces, at)]
+        hi = min((p[1] for p in here), default=Fraction(1))
+        yield lo, hi, tuple(p[2] for p in here)
+        if hi == 1:
+            return
+        at = [i + (p[1] == hi) for i, p in zip(at, here)]
+        lo = hi
 
 
 def pp_map(op, *fs: PiecewisePoly) -> PiecewisePoly:
     """Apply a polynomial-level operation piecewise on the common refinement."""
-    segs = _refine(fs)
-    pieces = []
-    for lo, hi in segs:
-        pieces.append((lo, hi, op(*(f.poly_at(lo) for f in fs))))
-    return PiecewisePoly.from_pieces(pieces)
-
-
-def pp_add(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
-    return pp_map(poly_add, f, g)
-
-
-def pp_scale(c, f: PiecewisePoly) -> PiecewisePoly:
-    return pp_map(lambda a: poly_scale(c, a), f)
+    return PiecewisePoly.from_pieces((lo, hi, op(*polys)) for lo, hi, polys in _walk(fs))
 
 
 def pp_restrict(f: PiecewisePoly, region: IntervalRegion) -> PiecewisePoly:
-    """f times the indicator of the region (modulo null sets)."""
-    pts = {Fraction(0), Fraction(1)}
-    pts.update(f.breakpoints())
-    for lo, hi in region.intervals:
-        pts.add(lo)
-        pts.add(hi)
-    spts = sorted(pts)
-    pieces = []
-    for lo, hi in zip(spts, spts[1:]):
-        inside = any(blo <= lo and hi <= bhi for blo, bhi in region.intervals)
-        pieces.append((lo, hi, f.poly_at(lo) if inside else ()))
-    return PiecewisePoly.from_pieces(pieces)
+    """f times the indicator of the region (modulo null sets): the region's
+    intervals and the gaps between them alternate as the pieces of a 0/1
+    mask."""
+    ends = [Fraction(0), *(e for iv in region.intervals for e in iv), Fraction(1)]
+    mask = PiecewisePoly.from_pieces(
+        (lo, hi, (k % 2,)) for k, (lo, hi) in enumerate(zip(ends, ends[1:])) if lo < hi
+    )
+    return pp_map(lambda a, m: a if m else (), f, mask)
 
 
 def pp_support(f: PiecewisePoly) -> IntervalRegion:
@@ -284,23 +267,22 @@ def pp_support(f: PiecewisePoly) -> IntervalRegion:
 
 
 def pp_disjoint(f: PiecewisePoly, g: PiecewisePoly) -> bool:
-    return pp_support(f).intersect(pp_support(g)).is_empty
+    """No piece of the common refinement where both are nonzero."""
+    return not any(a and b for _, _, (a, b) in _walk((f, g)))
 
 
 def pp_band_contains(g: PiecewisePoly, f: PiecewisePoly) -> bool:
-    """f lies in the band generated by g: supp f inside supp g mod null."""
-    return pp_support(g).contains(pp_support(f))
-
-
-def pp_equal(f: PiecewisePoly, g: PiecewisePoly) -> bool:
-    return pp_map(lambda a, b: poly_add(a, poly_scale(-1, b)), f, g).is_zero()
+    """f lies in the band generated by g, supp f inside supp g mod null: no
+    piece of the common refinement where f is nonzero and g is zero."""
+    return not any(b and not a for _, _, (a, b) in _walk((g, f)))
 
 
 def integrate(w: PiecewisePoly, f: PiecewisePoly) -> Fraction:
     """Exact integral of w*f over [0,1]."""
     total = Fraction(0)
-    for lo, hi in _refine((w, f)):
-        total += poly_integral(poly_mul(w.poly_at(lo), f.poly_at(lo)), lo, hi)
+    for lo, hi, (a, b) in _walk((w, f)):
+        if a and b:
+            total += poly_integral(poly_mul(a, b), lo, hi)
     return total
 
 
@@ -316,12 +298,17 @@ class FiniteRankOp:
 
 
 def frop_apply(T: FiniteRankOp, f: PiecewisePoly) -> PiecewisePoly:
-    out = PiecewisePoly.zero()
-    for w, phi in T.terms:
-        c = integrate(w, f)
-        if c != 0:
-            out = pp_add(out, pp_scale(c, phi))
-    return out
+    """Tf, literally: the moments int w_k f, then one pass over the images
+    whose moment is nonzero, summing c_k phi_k on each piece."""
+    live = [(c, phi) for c, (_, phi) in zip(frop_moments(T, f), T.terms) if c]
+
+    def combine(*polys: Poly) -> Poly:
+        acc: Poly = ()
+        for (c, _), p in zip(live, polys):
+            acc = poly_add(acc, poly_scale(c, p))
+        return acc
+
+    return pp_map(combine, *(phi for _, phi in live))
 
 
 def frop_moments(T: FiniteRankOp, f: PiecewisePoly) -> tuple[Fraction, ...]:
@@ -332,18 +319,10 @@ def frop_moments(T: FiniteRankOp, f: PiecewisePoly) -> tuple[Fraction, ...]:
 
 
 @linalg.per_operator
-def _segments(T: FiniteRankOp) -> list[tuple[Fraction, Fraction]]:
-    """The pieces of the common refinement of all kernels and images."""
-    return _refine([w for w, _ in T.terms] + [phi for _, phi in T.terms])
-
-
-def _on_segments(f: PiecewisePoly, ends: dict[Fraction, int]) -> list[Poly]:
-    """The polynomial of f on each piece of a refinement of its pieces;
-    ``ends`` maps each breakpoint to the number of pieces before it."""
-    out: list[Poly] = []
-    for _, hi, c in f.pieces:
-        out += [c] * (ends[hi] - len(out))
-    return out
+def _segments(T: FiniteRankOp) -> list[tuple[Fraction, Fraction, tuple[Poly, ...]]]:
+    """The pieces of the common refinement of all kernels and images, each
+    with the polynomials of w_1, phi_1, w_2, phi_2, ... there."""
+    return list(_walk([f for term in T.terms for f in term]))
 
 
 def _moments(kernels: Sequence[Poly], lo: Fraction, hi: Fraction, nbumps: int) -> tuple[list[list[int]], int]:
@@ -386,9 +365,8 @@ def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
     segs = _segments(T)
     if not T.terms:
         return [], linalg.Blocks(())
-    ends = {hi: i + 1 for i, (_, hi) in enumerate(segs)}
-    kernels = list(zip(*(_on_segments(w, ends) for w, _ in T.terms)))
-    phis = list(zip(*(_on_segments(phi, ends) for _, phi in T.terms)))
+    kernels = [polys[::2] for _, _, polys in segs]
+    phis = [polys[1::2] for _, _, polys in segs]
     pden = math.lcm(*(c.denominator for polys in phis for p in polys for c in p))
     # every degree of every piece some phi_k reaches, with its phi_k column
     coords = [(pj, e) for pj, polys in enumerate(phis) for e in range(max(map(len, polys)))]
@@ -397,7 +375,7 @@ def _bumps(T: FiniteRankOp) -> tuple[list[_Bump], linalg.Blocks]:
         for pj, e in coords
     ]
     raw = []
-    for pi, (lo, hi) in enumerate(segs):
+    for pi, (lo, hi, _) in enumerate(segs):
         nbumps = max(map(len, kernels[pi]))
         if nbumps:
             rows, mden = _moments(kernels[pi], lo, hi, nbumps)
@@ -457,8 +435,8 @@ def frop_range_supports(T: FiniteRankOp) -> tuple[IntervalRegion, ...]:
     piece index, so the runs' index pairs order the intervals, and the
     measure is summed over the pieces' common denominator."""
     segs = _segments(T)
-    den = math.lcm(*(hi.denominator for _, hi in segs))
-    at = [0] + [hi.numerator * (den // hi.denominator) for _, hi in segs]
+    den = math.lcm(*(hi.denominator for _, hi, _ in segs))
+    at = [0] + [hi.numerator * (den // hi.denominator) for _, hi, _ in segs]
     keyed = []
     for m in _range_enumeration(T):
         runs = _runs(m)
@@ -468,7 +446,7 @@ def frop_range_supports(T: FiniteRankOp) -> tuple[IntervalRegion, ...]:
 
 
 def _bump_input(T: FiniteRankOp, b: _Bump) -> PiecewisePoly:
-    lo, hi = _segments(T)[b.piece]
+    lo, hi, _ = _segments(T)[b.piece]
     return PiecewisePoly.on_interval(lo, hi, (0,) * b.degree + (1,))
 
 
@@ -490,8 +468,8 @@ def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
     region is the run of pieces from the one starting at its lower end to
     the one ending at its upper end."""
     segs = _segments(T)
-    starts = {lo: i for i, (lo, _) in enumerate(segs)}
-    ends = {hi: i for i, (_, hi) in enumerate(segs)}
+    starts = {lo: i for i, (lo, _, _) in enumerate(segs)}
+    ends = {hi: i for i, (_, hi, _) in enumerate(segs)}
     target = 0
     for lo, hi in S.intervals:
         if lo not in starts or hi not in ends:
@@ -504,7 +482,7 @@ def realize_range_support(T: FiniteRankOp, S: IntervalRegion) -> PiecewisePoly:
     per_piece: list[list[Fraction]] = [[] for _ in segs]
     for b, c in zip(bumps, hit[1]):
         per_piece[b.piece].append(c)
-    return PiecewisePoly.from_pieces((lo, hi, cs) for (lo, hi), cs in zip(segs, per_piece))
+    return PiecewisePoly.from_pieces((lo, hi, cs) for (lo, hi, _), cs in zip(segs, per_piece))
 
 
 class FropWitness(NamedTuple):
@@ -557,7 +535,7 @@ def frop_is_sbp(T: FiniteRankOp) -> FropCheck:
         return FropCheck(True)
     b, g = hit
     note = (
-        f"bump on piece {_segments(T)[b.piece]} is disjoint from supp(Tg) "
+        f"bump on piece {_segments(T)[b.piece][:2]} is disjoint from supp(Tg) "
         f"yet its image meets it"
     )
     return FropCheck(False, FropWitness("SBP-violation", _bump_input(T, b), g, note))
@@ -570,7 +548,7 @@ def frop_is_scp(T: FiniteRankOp) -> FropCheck:
         return FropCheck(True)
     b, g = hit
     note = (
-        f"bump on piece {_segments(T)[b.piece]} lies in the band of Tg "
+        f"bump on piece {_segments(T)[b.piece][:2]} lies in the band of Tg "
         f"yet its image escapes supp(Tg)"
     )
     return FropCheck(False, FropWitness("SCP-violation", _bump_input(T, b), g, note))

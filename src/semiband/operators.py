@@ -38,7 +38,7 @@ from .errors import (
     UnachievableSupportError,
     ValidationError,
 )
-from .values import ExactValue, IntervalValue, Value, multiply, pow_enclosure, sqrt_value, value_max
+from .values import ExactValue, IntervalValue, Value, as_fraction, multiply, pow_enclosure, sqrt_value, value_max
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Operator:
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise DimensionMismatchError("matrix shape does not match the space")
         object.__setattr__(
-            self, "rows", tuple(tuple(Fraction(x) for x in r) for r in self.rows)
+            self, "rows", tuple(tuple(map(as_fraction, r)) for r in self.rows)
         )
 
     @staticmethod

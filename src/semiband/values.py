@@ -23,6 +23,11 @@ from .errors import IndeterminateComparisonError
 TARGET_WIDTH = Fraction(1, 10**30)
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction, kept as it is when it already is one."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def int_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of a nonnegative integer."""
     if n < 0:

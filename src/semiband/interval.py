@@ -211,18 +211,6 @@ class PiecewisePoly:
     def indicator(lo, hi) -> "PiecewisePoly":
         return PiecewisePoly.on_interval(lo, hi, (1,))
 
-    def breakpoints(self) -> list[Fraction]:
-        pts = [self.pieces[0][0]]
-        pts.extend(hi for _, hi, _ in self.pieces)
-        return pts
-
-    def poly_at(self, t: Fraction) -> Poly:
-        """The polynomial of the piece whose half-open span contains t."""
-        for lo, hi, c in self.pieces:
-            if lo <= t < hi:
-                return c
-        return self.pieces[-1][2]
-
     def is_zero(self) -> bool:
         return all(not c for _, _, c in self.pieces)
 

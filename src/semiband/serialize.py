@@ -11,11 +11,12 @@ Schemas (all versioned with "schema": 1):
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .atomic import INF, AtomicSpace, SupportSet, Vector, mask_atoms
+from .atomic import _BYTE_ATOMS, INF, AtomicSpace, SupportSet, Vector, mask_atoms
 from .errors import ValidationError
 from .interval import (
     FiniteRankOp,
@@ -56,14 +57,33 @@ def parse_rat(s: Any, where: str = "value") -> Fraction:
     return f
 
 
+class _Rats(dict):
+    """str -> its ``Fraction``, kept for one document so that each distinct
+    string is parsed once."""
+
+    def __missing__(self, s: str) -> Fraction:
+        f = self[s] = Fraction(s)
+        return f
+
+
+def _parse_rats(items: list, rats: _Rats, where) -> tuple[Fraction, ...]:
+    """The rationals of a list, each read as ``parse_rat`` reads it;
+    ``where(i)`` names item i and is formatted only when one fails."""
+    try:
+        return tuple(map(rats.__getitem__, map(str, items)))
+    except (ValueError, ZeroDivisionError):
+        return tuple(parse_rat(x, where(i)) for i, x in enumerate(items))
+
+
 def vector_to_json(v: Vector) -> list[str]:
     return [rat_str(x) for x in v]
 
 
-def parse_vector(data, n: int, where: str = "vector") -> Vector:
+def parse_vector(data, n: int, where: str = "vector", rats: _Rats | None = None) -> Vector:
+    """``rats`` shares parsed strings with the rest of the document."""
     if not isinstance(data, list) or len(data) != n:
         raise ValidationError(f"{where} must be a list of {n} rationals")
-    return tuple(parse_rat(x, f"{where}[{i + 1}]") for i, x in enumerate(data))
+    return _parse_rats(data, _Rats() if rats is None else rats, lambda i: f"{where}[{i + 1}]")
 
 
 def p_to_json(p) -> str:
@@ -86,7 +106,8 @@ def space_to_json(space: AtomicSpace) -> dict:
     }
 
 
-def parse_space(data: dict) -> AtomicSpace:
+def parse_space(data: dict, rats: _Rats | None = None) -> AtomicSpace:
+    """``rats`` shares parsed strings with the rest of the document."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValidationError("space must carry an atom count 'n'")
     n = data["n"]
@@ -95,13 +116,18 @@ def parse_space(data: dict) -> AtomicSpace:
     norm = data.get("norm")
     if norm is None:
         return AtomicSpace.lp(n, 2)
+    if not isinstance(norm, dict):
+        raise ValidationError("norm must be an object with 'p' and 'weights'")
     p = parse_p(norm.get("p", "2"))
     weights = norm.get("weights")
     if weights is None:
         weights = ["1"] * n
+    if not isinstance(weights, list):
+        raise ValidationError("weights must be a list of rationals")
     if len(weights) != n:
         raise ValidationError(f"{len(weights)} weights for {n} atoms")
-    return AtomicSpace.lp(n, p, [parse_rat(w, f"weight {i + 1}") for i, w in enumerate(weights)])
+    rats = _Rats() if rats is None else rats
+    return AtomicSpace.lp(n, p, _parse_rats(weights, rats, lambda i: f"weight {i + 1}"))
 
 
 def operator_to_json(T: Operator) -> dict:
@@ -115,7 +141,8 @@ def operator_to_json(T: Operator) -> dict:
 def parse_operator(data: dict) -> Operator:
     if not isinstance(data, dict):
         raise ValidationError("operator file must be a JSON object")
-    space = parse_space(data.get("space", {}))
+    rats = _Rats()
+    space = parse_space(data.get("space", {}), rats)
     matrix = data.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != space.n:
         raise ValidationError(f"matrix must have {space.n} rows")
@@ -123,19 +150,12 @@ def parse_operator(data: dict) -> Operator:
     for i, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != space.n:
             raise ValidationError(f"row {i + 1} must have {space.n} entries")
-        rows.append(
-            tuple(parse_rat(x, f"row {i + 1}, column {j + 1}") for j, x in enumerate(row))
-        )
+        rows.append(_parse_rats(row, rats, lambda j: f"row {i + 1}, column {j + 1}"))
     return Operator(space, tuple(rows))
 
 
 def support_to_json(s: SupportSet) -> list[int]:
     return sorted(s.atoms)
-
-
-def mask_to_json(m: int) -> list[int]:
-    """The atoms of a bitmask support, ascending."""
-    return mask_atoms(m)
 
 
 def witness_to_json(w: Witness) -> dict:
@@ -148,10 +168,11 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def parse_witness(data: dict, n: int) -> Witness:
+    rats = _Rats()
     return Witness(
         data["kind"],
-        parse_vector(data["f"], n, "witness f"),
-        parse_vector(data["g"], n, "witness g"),
+        parse_vector(data["f"], n, "witness f", rats),
+        parse_vector(data["g"], n, "witness g", rats),
         data.get("note", ""),
     )
 
@@ -190,10 +211,14 @@ def piecewise_to_json(f: PiecewisePoly) -> dict:
 
 
 def parse_piecewise(data: dict, where: str = "function") -> PiecewisePoly:
-    if not isinstance(data, dict) or "pieces" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
         raise ValidationError(f"{where} must carry a 'pieces' list")
     pieces = []
     for i, pc in enumerate(data["pieces"]):
+        if not isinstance(pc, dict) or "from" not in pc or "to" not in pc:
+            raise ValidationError(f"{where} piece {i + 1} must be an object with 'from' and 'to'")
+        if not isinstance(pc.get("coeffs", []), list):
+            raise ValidationError(f"{where} piece {i + 1} 'coeffs' must be a list")
         pieces.append(
             (
                 parse_rat(pc["from"], f"{where} piece {i + 1} 'from'"),
@@ -225,6 +250,8 @@ def parse_frop(data: dict) -> FiniteRankOp:
         raise ValidationError("finite-rank file must carry a 'terms' list")
     terms = []
     for i, t in enumerate(data["terms"]):
+        if not isinstance(t, dict) or "kernel" not in t or "image" not in t:
+            raise ValidationError(f"term {i + 1} must be an object with 'kernel' and 'image'")
         terms.append(
             (
                 parse_piecewise(t["kernel"], f"term {i + 1} kernel"),
@@ -251,7 +278,11 @@ def frop_witness_to_json(w: FropWitness) -> dict:
 
 
 def build_analysis_report(T: Operator) -> dict:
-    """Run the full atomic pipeline and assemble the report dict."""
+    """Run the full atomic pipeline and assemble the report tree.
+
+    Σ stays as its sorted masks in a ``MaskListing``, so the tree is for
+    ``dumps``; ``json.loads(dumps(report))`` gives each support as its
+    ascending list of atoms."""
     sigma = enumerate_sigma(T)
     preds = {}
     for name, fn in (
@@ -291,8 +322,8 @@ def build_analysis_report(T: Operator) -> dict:
         "input": operator_to_json(T),
         "predicates": preds,
         "sigma": {
-            "s_t": mask_to_json(sigma.s_t_mask),
-            "supports": [mask_to_json(m) for m in sorted(sigma.masks)],
+            "s_t": mask_atoms(sigma.s_t_mask),
+            "supports": MaskListing(sorted(sigma.masks)),
         },
         "minimal_supports": [support_to_json(s) for s in minimal_supports(sigma)],
         "closures": closure_entry,
@@ -388,9 +419,33 @@ _SCALARS = {
 _FLAT = {frozenset([int]): _INT_TEXT.__getitem__, frozenset([str]): _quote}
 
 
+class MaskListing:
+    """Supports held as their bitmasks (bit i - 1 for atom i), in report
+    order.  ``dumps`` writes them as the JSON lists of their atoms."""
+
+    __slots__ = ("masks",)
+
+    def __init__(self, masks: list[int]):
+        self.masks = masks
+
+
+@functools.cache
+def _byte_chunks(sep: str, k: int) -> tuple[str, ...]:
+    """For each byte value, the atoms it stands for as byte k of a mask,
+    each written after ``sep``: row k of ``atomic._BYTE_ATOMS``, and past
+    its rows, row 0 shifted as ``atomic.mask_atoms`` does.  Built on first
+    use, once per separator (that is, per depth in the report)."""
+    if k < len(_BYTE_ATOMS):
+        row = _BYTE_ATOMS[k]
+    else:
+        row = [[8 * k + a for a in atoms] for atoms in _BYTE_ATOMS[0]]
+    return tuple("".join(sep + _INT_TEXT[a] for a in atoms) for atoms in row)
+
+
 def dumps(obj: dict) -> str:
     """The bytes of ``json.dumps(obj, indent=2) + "\\n"``, written into one
-    list and joined once.
+    list and joined once.  A ``MaskListing`` is written as the list of its
+    supports' atom lists.
 
     Strings and keys are escaped by the encoder ``json.dumps`` uses.  Values
     no report holds (floats, tuples, non-str keys, other types) raise
@@ -437,5 +492,26 @@ def _write(o, nl: str, out: list[str]) -> None:
         out[-1] = nl + "}"
     elif t in _SCALARS:
         out.append(_SCALARS[t](o))
+    elif t is MaskListing:
+        out.append(_mask_listing(o.masks, nl))
     else:
         raise TypeError(f"a report holds no {t.__name__}")
+
+
+def _mask_listing(masks: list[int], nl: str) -> str:
+    """The text ``_write`` gives the masks' atom lists: each support joins
+    the chunks of its bytes, less the first separator's comma."""
+    if not masks:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner + "  "
+    rows = [_byte_chunks(sep, k) for k in range((max(masks).bit_length() + 7) // 8)]
+    close = inner + "]"
+    texts = []
+    for m in masks:
+        body = ""
+        for row in rows:
+            body += row[m & 255]
+            m >>= 8
+        texts.append("[" + body[1:] + close if body else "[]")
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"

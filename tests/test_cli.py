@@ -138,6 +138,37 @@ def test_cli_interval_rejects_gap(tmp_path):
     assert run_cli("interval", "--input", str(f)) == 2
 
 
+UNIT = {"pieces": [{"from": "0", "to": "1", "coeffs": ["1"]}]}
+IDENTITY2 = [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "command, doc, place",
+    [
+        ("analyze", {"space": {"n": 2, "norm": "l2"}, "matrix": IDENTITY2}, "norm"),
+        ("analyze", {"space": {"n": 2, "norm": {"p": "2", "weights": 5}}, "matrix": IDENTITY2}, "weights"),
+        # a string of two characters is not a list of two weights
+        ("analyze", {"space": {"n": 2, "norm": {"p": "2", "weights": "12"}}, "matrix": IDENTITY2}, "weights"),
+        ("interval", {"terms": [5]}, "term 1"),
+        ("interval", {"terms": [{"image": UNIT}]}, "term 1"),
+        ("interval", {"terms": [{"kernel": {"pieces": "x"}, "image": UNIT}]}, "term 1 kernel"),
+        ("interval", {"terms": [{"kernel": UNIT, "image": {"pieces": [{"to": "1"}]}}]}, "term 1 image piece 1"),
+        # not the polynomial 1 + 2t
+        (
+            "interval",
+            {"terms": [{"kernel": UNIT, "image": {"pieces": [{"from": "0", "to": "1", "coeffs": "12"}]}}]},
+            "term 1 image piece 1",
+        ),
+    ],
+)
+def test_cli_rejects_malformed_shapes(tmp_path, capsys, command, doc, place):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert run_cli(command, "--input", str(f)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and place in err
+
+
 def test_cli_interval_degree_budget(tmp_path):
     f = tmp_path / "deg.json"
     f.write_text(json.dumps({

@@ -71,8 +71,12 @@ def cmd_interval(args) -> int:
 def _parse_dims(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+        dims = list(range(int(lo), int(hi) + 1))
+    else:
+        dims = [int(spec)]
+    if not dims:
+        raise ValueError(f"empty atom count range {spec!r}")
+    return dims
 
 
 def cmd_probe(args) -> int:
@@ -85,9 +89,11 @@ def cmd_probe(args) -> int:
         )
         return EXIT_INPUT
     try:
+        if args.budget < 0:
+            raise ValueError(f"negative budget {args.budget}")
         dims = _parse_dims(args.dims)
         findings = probe_norm_one_projections(args.p, dims, budget=args.budget)
-    except ValueError as exc:  # from the --dims spec or the exponent
+    except ValueError as exc:  # from the budget, the --dims spec or the exponent
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = build_probe_report(args.p, dims, args.budget, findings)

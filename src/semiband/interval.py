@@ -491,22 +491,39 @@ class FropCheck:
 
 @linalg.per_operator
 def _semi_masks(T: FiniteRankOp) -> set[int]:
-    """The supports the semi laws are decided on (``linalg.avoiding_masks``
-    of the range), kept on T for both laws."""
-    return linalg.avoiding_masks(_range_items(T), _bumps(T)[1])
+    """The supports the semi laws are decided on, kept on T for both laws:
+    the range's union mask and, per live piece c, the largest support
+    avoiding c.
+
+    The supports avoiding c are those of the range constrained to vanish
+    on c, and a generic element of that span attains their union.  So a
+    semi law broken at a support S is also broken at the largest support
+    avoiding the bump's piece (semi band) or the piece its image reaches
+    off S (semi containment).  A piece the range never reaches is avoided
+    by the union mask itself.  Masks ignore scale, so the denominators are
+    dropped first.
+    """
+    _, blocks = _bumps(T)
+    items = _range_items(T)
+    full = linalg.union_mask(items)
+    items = [linalg.Item(it.vec, it.mask, (), 1) for it in items]
+    return {full, *(linalg.union_mask(linalg.constrain(items, c, blocks)) for c in blocks.coords if full & c)}
 
 
 def _first_bump_violation(T: FiniteRankOp, inside: bool) -> tuple[_Bump, PiecewisePoly] | None:
-    """(bump, g) for the first support S = supp(Tg) and bump that break
-    the semi law ``linalg.first_violation`` names by ``inside``, over the
-    range's own support and the largest support avoiding each piece."""
+    """(bump, g) for the first support S = supp(Tg) of ``_semi_masks``
+    (ascending) and the first bump that break a semi law.  With ``inside``
+    false the law is semi band preservation: the bump's piece is off S and
+    its image meets S.  With ``inside`` true it is semi containment: the
+    piece is in S and the image escapes S.  Linearity and the union bound
+    on supports make one bump per spanning input complete."""
     bumps, _ = _bumps(T)
-    sources = [(1 << b.piece, b.item.mask) for b in bumps]
-    hit = linalg.first_violation(_semi_masks(T), sources, inside)
-    if hit is None:
-        return None
-    mask, k = hit
-    return bumps[k], realize_range_support(T, _mask_region(_segments(T), mask))
+    for s in sorted(_semi_masks(T)):
+        breach = ~s if inside else s
+        for b in bumps:
+            if (s >> b.piece & 1) == inside and b.item.mask & breach:
+                return b, realize_range_support(T, _mask_region(_segments(T), s))
+    return None
 
 
 def frop_is_sbp(T: FiniteRankOp) -> FropCheck:

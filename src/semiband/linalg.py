@@ -1,5 +1,8 @@
 """The exact support engine shared by the atomic and interval models.
 
+It echelonizes, constrains, enumerates supports and realizes them, for
+the Σ and range listings and the realizers; it decides no law itself.
+
 A subspace is held as a list of echelon items ``(vec, mask, pre, den)``:
 ``vec`` is a coordinate vector and ``pre`` passenger coordinates carried
 through every elimination step (preimages for atoms, combination
@@ -260,41 +263,6 @@ def _group_masks(items: list[Item], blocks: Blocks) -> tuple[Collection[int], Co
 
     rec([Item(it.vec, it.mask, (), 1) for it in items], 0)
     return results, lines
-
-
-def first_violation(
-    masks: Iterable[int], sources: Sequence[tuple[int, int]], inside: bool
-) -> tuple[int, int] | None:
-    """The first support S (ascending) and source index k breaking a semi
-    law: the interval model's scan, as a piece has no single row to read.
-
-    A source is ``(bit, image)``: the block of an input and the mask of its
-    image.  With ``inside`` false the law is semi band preservation, an
-    input off S must have an image off S; with ``inside`` true it is semi
-    containment, an input in S must have an image in S.  Linearity and the
-    union bound on supports make one source per spanning input complete.
-    """
-    for s in sorted(masks):
-        breach = ~s if inside else s
-        for k, (bit, image) in enumerate(sources):
-            if (bit & s != 0) == inside and image & breach:
-                return s, k
-    return None
-
-
-def avoiding_masks(items: list[Item], blocks: Blocks) -> set[int]:
-    """The supports ``first_violation`` scans in the interval model: the
-    span's union mask and, per live block b, the largest support avoiding b.
-
-    The supports avoiding b are those of the span constrained to vanish
-    on b, and a generic element of it attains their union.  So a semi law
-    broken at a support S is also broken at the largest support avoiding
-    the source block (semi band) or the breached block (semi containment).
-    A block the span never reaches is avoided by the union mask itself.
-    Masks ignore scale, so the passengers and denominators are dropped first.
-    """
-    items, full = [Item(it.vec, it.mask, (), 1) for it in items], union_mask(items)
-    return {full, *(union_mask(constrain(items, b, blocks)) for b in blocks.coords if full & b)}
 
 
 def combine_generic(items: list[Item], blocks: Blocks) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -260,32 +260,28 @@ def is_beta(T: Operator) -> PredicateResult:
     """Band inclusion f in band(g) forces Tf in band(Tg), for all f, g.
 
     Over an infinite scalar field this holds exactly when no row has two
-    nonzero entries: a row k with support {j1, j2, ...} admits a vector g
-    of full support on that set with (Tg)_k = 0, while f = e_{j1} keeps
-    atom k in supp(Tf).
+    nonzero entries.  For the first row k with support {j1, j2, ...}, g is
+    a_j = 1 or 2 at each j after j1 in turn, 2 only where 1 would bring the
+    running sum of a_j T[k][j] to zero, and cancels that sum at j1.  So g
+    is live on the whole row support with (Tg)_k = 0, while f = e_{j1}
+    keeps atom k in supp(Tf).
     """
     n = T.n
-    blocks = linalg.Blocks.atoms(n)
-    for k in range(1, n + 1):
-        cols = [j for j in range(1, n + 1) if T.entry(k, j) != 0]
+    for k, row in enumerate(T.rows, 1):
+        cols = [j for j, x in enumerate(row) if x]
         if len(cols) < 2:
             continue
-        j1 = cols[0]
-        # kernel basis of the row functional restricted to the row support
-        items = []
-        for jm in cols[1:]:
-            b = [Fraction(0)] * n
-            b[j1 - 1] = T.entry(k, jm)
-            b[jm - 1] = -T.entry(k, j1)
-            bt = tuple(b)
-            items.append(linalg.item(bt, bt, blocks))
-        g, _ = linalg.combine_generic(items, blocks)
-        g = _canonical_integer_vector(g)
-        f = basis_vector(n, j1)
+        j1, *rest = cols
+        g = [Fraction(0)] * n
+        total = Fraction(0)
+        for j in rest:
+            g[j] = Fraction(2 if total + row[j] == 0 else 1)
+            total += g[j] * row[j]
+        g[j1] = -total / row[j1]
         w = Witness(
             "beta-violation",
-            f,
-            g,
+            basis_vector(n, j1 + 1),
+            _canonical_integer_vector(tuple(g)),
             f"row {k} meets supp g yet (Tg)_{k} = 0 while (Tf)_{k} != 0",
         )
         return PredicateResult(False, w)

@@ -111,7 +111,7 @@ def parse_space(data: dict, rats: _Rats | None = None) -> AtomicSpace:
     if not isinstance(data, dict) or "n" not in data:
         raise ValidationError("space must carry an atom count 'n'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a bool is an int to isinstance
         raise ValidationError("atom count must be a positive integer")
     norm = data.get("norm")
     if norm is None:

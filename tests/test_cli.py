@@ -159,6 +159,8 @@ IDENTITY2 = [["1", "0"], ["0", "1"]]
             {"terms": [{"kernel": UNIT, "image": {"pieces": [{"from": "0", "to": "1", "coeffs": "12"}]}}]},
             "term 1 image piece 1",
         ),
+        # JSON true is no atom count, although a bool is an int in Python
+        ("analyze", {"space": {"n": True}, "matrix": [["1"]]}, "atom count"),
     ],
 )
 def test_cli_rejects_malformed_shapes(tmp_path, capsys, command, doc, place):
@@ -201,6 +203,18 @@ def test_cli_probe_writes_findings(tmp_path):
 
 def test_cli_probe_rejects_sup_norm(capsys):
     assert run_cli("probe", "--p", "inf", "--dims", "2..2") == 2
+
+
+@pytest.mark.parametrize(
+    "args, place",
+    [(("--dims", "3..2"), "empty atom count range"), (("--budget", "-5"), "negative budget")],
+)
+def test_cli_probe_rejects_empty_searches(tmp_path, capsys, args, place):
+    out = tmp_path / "findings.json"
+    assert run_cli("probe", "--p", "1", *args, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and place in err
+    assert not out.exists()
 
 
 def test_probe_report_rejects_a_ragged_matrix(tmp_path):

@@ -1,12 +1,12 @@
 """The integer support engine and its fast paths: golden report bytes, the
-closure and minimal-support shortcuts and the SBP/SCP scan against their
-literal definitions, the row-class SBP/SCP verdicts and the avoiding masks
-against the scan over all of Σ, SBP against its matrix form and the WCE
-blocks against the minimal supports, realizers over large coprime
-denominators and against the enumerated supports, witness replay, the
-shared enumeration budget and the decisions it does not guard, engine
-state built once per operator, atomic semi laws that eliminate nothing,
-and oracles that stay independent of the engine."""
+closure and minimal-support shortcuts against their literal definitions,
+the row-class SBP/SCP verdicts against the literal law scanned over all of
+Σ, SBP against its matrix form and the WCE blocks against the minimal
+supports, realizers over large coprime denominators and against the
+enumerated supports, witness replay and forged pairs it refuses, the β
+witness, the shared enumeration budget and the decisions it does not
+guard, engine state built once per operator, atomic semi laws and β that
+eliminate nothing, and oracles that stay independent of the engine."""
 
 import ast
 import itertools
@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semiband import (
@@ -26,6 +26,7 @@ from semiband import (
     apply,
     decompose_wce,
     enumerate_sigma,
+    is_beta,
     is_sbp,
     make_averaging,
     minimal_supports,
@@ -35,7 +36,7 @@ from semiband import (
 )
 import semiband
 from semiband import BudgetExceededError, linalg
-from semiband.atomic import support_mask
+from semiband.atomic import basis_vector, support_mask
 from semiband.cli import main
 from semiband.errors import UnachievableSupportError
 from semiband.generators import gen_random_operator, gen_random_wce
@@ -272,6 +273,72 @@ def test_item_and_elimination_stay_in_lowest_terms():
     assert c.den > 0 and math.gcd(*c.vec, *c.pre, c.den) == 1
 
 
+def _implication(T, kind, f, g):
+    """(antecedent, consequent) of a witness kind's implication, read
+    literally on support masks; a witness is a pair where the antecedent
+    holds and the consequent fails."""
+    F, G, TF, TG = (support_mask(v) for v in (f, g, apply(T, f), apply(T, g)))
+    return {
+        "BP-violation": (F & G == 0, TF & G == 0),
+        "DP-violation": (F & G == 0, TF & TG == 0),
+        "beta-violation": (F & ~G == 0, TF & ~TG == 0),
+        "SBP-violation": (F & TG == 0, TF & TG == 0),
+        "SCP-violation": (F & ~TG == 0, TF & ~TG == 0),
+    }[kind]
+
+
+def _forged_pairs(T, j):
+    """Per witness kind, a pair where only the antecedent holds and one
+    where only the consequent fails, built around a nonzero column j
+    (0-based) of T."""
+    n = T.n
+    cols = [support_mask(c) for c in zip(*T.rows)]
+    C, i = cols[j], (cols[j] & -cols[j]).bit_length() - 1
+
+    def ones(mask):
+        return tuple(Fraction(mask >> a & 1) for a in range(n))
+
+    e = [ones(1 << a) for a in range(n)]
+    zero = ones(0)
+    atoms = range(n)
+    # t = 1 or 2, whichever keeps (T e_j + t T e_i) live at atom i
+    t = 1 if T.rows[i][j] + T.rows[i][i] else 2
+    only_antecedent = {
+        "BP-violation": (e[j], ones(((1 << n) - 1) & ~(C | 1 << j))),
+        "DP-violation": (e[j], ones(sum(1 << a for a in atoms if a != j and not cols[a] & C))),
+        "beta-violation": (e[j], e[j]),
+        "SBP-violation": (ones(sum(1 << a for a in atoms if not (C >> a & 1 or cols[a] & C))), e[j]),
+        "SCP-violation": (ones(sum(1 << a for a in atoms if C >> a & 1 and cols[a] & ~C == 0)), e[j]),
+    }
+    only_consequent = {
+        "BP-violation": (e[j], tuple(map(sum, zip(e[j], e[i])))),
+        "DP-violation": (e[j], e[j]),
+        "beta-violation": (e[j], zero),
+        "SBP-violation": (tuple(x + t * y for x, y in zip(e[j], e[i])), e[j]),
+        "SCP-violation": (e[j], zero),
+    }
+    return only_antecedent, only_consequent
+
+
+@settings(max_examples=100)
+@given(st.one_of(operators(), sparse_operators()))
+def test_forged_witnesses_do_not_replay(T):
+    j = next((j for j, c in enumerate(zip(*T.rows)) if any(c)), None)
+    assume(j is not None)
+    only_antecedent, only_consequent = _forged_pairs(T, j)
+    for kind, (f, g) in only_antecedent.items():
+        assert _implication(T, kind, f, g) == (True, True)
+        assert not replay_witness(T, Witness(kind, f, g, "forged"))
+    for kind, (f, g) in only_consequent.items():
+        assert _implication(T, kind, f, g) == (False, False)
+        assert not replay_witness(T, Witness(kind, f, g, "forged"))
+
+
+# ranges spanned by (1, 1, 0, 0), (0, 1, 1, 0) and e_4: {1, 2} sits inside
+# {1, 2, 3}, but {3} is no support
+NESTED = Operator.from_rows(AtomicSpace.lp(4, 2), [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+
+
 def test_forged_closure_witness_does_not_replay():
     M = make_averaging(3, [SupportSet.of(1, 2), SupportSet.of(3)])
     f12 = realize_support(M, SupportSet.of(1, 2))
@@ -280,6 +347,44 @@ def test_forged_closure_witness_does_not_replay():
     # both supports are tabulated and every law holds for the pair
     for f, g in ((f12, g3), (f12, g123), (g3, g123)):
         assert not replay_witness(M, Witness("closure-violation", f, g, "forged"))
+    # union and intersection are attained and {1, 2, 4} is not inside
+    # {1, 2, 3}, so the missing difference {3} decides nothing
+    f, g = (realize_support(NESTED, SupportSet.of(*s)) for s in ((1, 2, 4), (1, 2, 3)))
+    assert not replay_witness(NESTED, Witness("closure-violation", f, g, "forged"))
+
+
+def test_nested_closure_witness_replays_by_the_complement():
+    # supp Tf inside supp Tg, so union and intersection are both attained:
+    # only the missing relative complement {3} makes the pair a witness
+    f, g = (realize_support(NESTED, SupportSet.of(*s)) for s in ((1, 2), (1, 2, 3)))
+    assert (support_mask(apply(NESTED, f)), support_mask(apply(NESTED, g))) == (0b011, 0b111)
+    assert 0b100 not in enumerate_sigma(NESTED)
+    assert replay_witness(NESTED, Witness("closure-violation", f, g, "nested"))
+
+
+@settings(max_examples=150)
+@given(st.one_of(operators(), sparse_operators()))
+@example(Operator.from_rows(AtomicSpace.lp(3, 2), [[1, 1, -1], [0, 0, 0], [0, 0, 0]]))
+@example(Operator.from_rows(AtomicSpace.lp(4, 2), [[0, 0, 0, 0], [1, 1, -1, -1], [0, 0, 0, 0], [0, 0, 0, 0]]))
+def test_beta_witness_cancels_the_first_shared_row(T):
+    res = is_beta(T)
+    k = next((k for k, row in enumerate(T.rows) if sum(map(bool, row)) > 1), None)
+    assert res.holds == (k is None)
+    if k is not None:
+        row = T.rows[k]
+        j1 = next(j for j, x in enumerate(row) if x)
+        assert res.witness.f == basis_vector(T.n, j1 + 1)
+        assert support_mask(res.witness.g) == support_mask(row)
+        assert apply(T, res.witness.g)[k] == 0
+        assert replay_witness(T, res.witness)
+
+
+def test_beta_witness_steps_past_a_cancelling_one():
+    # a_j = 1 at the last atom would bring the running sum to zero, so it is 2
+    for row, g in (([1, 1, -1], (1, 1, 2)), ([1, 1, -1, -1], (2, 1, 2, 1))):
+        n = len(row)
+        T = Operator.from_rows(AtomicSpace.lp(n, 2), [row] + [[0] * n] * (n - 1))
+        assert is_beta(T).witness.g == g
 
 
 def test_closure_witness_replays_golden():
@@ -324,28 +429,23 @@ def test_engine_state_built_once_per_operator(monkeypatch):
     assert (constrain, combine) == ([], [])
 
 
-# -- the one SBP/SCP scan ---------------------------------------------------------
-
-BLOCK_BITS = st.sampled_from([1 << i for i in range(6)])
+# -- the semi laws against their literal scan over Σ ---------------------------------
 
 
-@settings(max_examples=200)
-@given(
-    masks=st.frozensets(st.integers(0, 63), max_size=12),
-    sources=st.lists(st.tuples(BLOCK_BITS, st.integers(0, 63)), max_size=8),
-    inside=st.booleans(),
-)
-def test_first_violation_is_the_literal_law(masks, sources, inside):
-    # a source (supp f, supp Tf) against S = supp Tg.  Semi band: f disjoint
-    # from Tg forces Tf disjoint from Tg.  Semi containment: f in the band
-    # of Tg forces Tf in it.
+def _law_scan(masks, sources, inside):
+    """The first support S (ascending) and source index k breaking a semi
+    law, literally: the reference of the atomic and the interval scan
+    tests.  A source (supp f, supp Tf) against S = supp Tg: for
+    semi band (``inside`` false) f disjoint from Tg forces Tf disjoint from
+    Tg; for semi containment f in the band of Tg forces Tf in it."""
+
     def breaks(s, f, tf):
         if inside:
             return f & s == f and tf & s != tf
         return f & s == 0 and tf & s != 0
 
     hits = [(s, k) for s in sorted(masks) for k, (f, tf) in enumerate(sources) if breaks(s, f, tf)]
-    assert linalg.first_violation(masks, sources, inside) == (hits[0] if hits else None)
+    return hits[0] if hits else None
 
 
 def _sigma_scan(T, inside):
@@ -353,14 +453,12 @@ def _sigma_scan(T, inside):
     the row-class verdicts of ``is_sbp`` and ``is_scp`` are checked
     against, with the atoms as sources."""
     sources = [(1 << j, support_mask(c)) for j, c in enumerate(zip(*T.rows))]
-    return linalg.first_violation(enumerate_sigma(T).masks, sources, inside)
+    return _law_scan(enumerate_sigma(T).masks, sources, inside)
 
 
 @settings(max_examples=150)
 @given(st.one_of(operators(), sparse_operators()))
-def test_avoiding_masks_decide_as_the_sigma_scan(T):
-    sigma = enumerate_sigma(T)
-    assert linalg.avoiding_masks(_column_space(T), linalg.Blocks.atoms(T.n)) <= sigma.masks
+def test_row_class_laws_decide_as_the_sigma_scan(T):
     for check, inside in ((is_sbp, False), (is_scp, True)):
         res = check(T)
         assert res.holds == (_sigma_scan(T, inside) is None)
@@ -481,7 +579,8 @@ def test_norm_neither_eliminates_nor_decides_sbp(monkeypatch):
 
 
 def test_atomic_semi_laws_eliminate_nothing(monkeypatch):
-    engine = [_counting(monkeypatch, name) for name in ("echelonize", "constrain", "realize", "combine_generic")]
+    names = ("item", "echelonize", "constrain", "realize", "combine_generic")
+    engine = [_counting(monkeypatch, name) for name in names]
     dense = gen_random_operator(5, 4, 1.0).rows
     scp_not_sbp = [[1, Fraction(1, 2), 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
     wce_form = [[1, 2, 0, 0], [3, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5]]
@@ -489,12 +588,14 @@ def test_atomic_semi_laws_eliminate_nothing(monkeypatch):
     verdicts = []
     for rows in (dense, scp_not_sbp, wce_form, zero_row, [[0] * 4] * 4):
         T = Operator.from_rows(AtomicSpace.lp(4, 2), rows)
-        sbp, scp = is_sbp(T), is_scp(T)
-        verdicts.append((sbp.holds, scp.holds))
-        for res in (sbp, scp):
+        results = is_sbp(T), is_scp(T), is_beta(T)
+        verdicts.append(tuple(res.holds for res in results))
+        for res in results:
             assert res.holds or replay_witness(T, res.witness)
-    assert verdicts == [(False, False), (False, True), (True, True), (False, False), (True, True)]
-    assert engine == [[]] * 4
+    assert verdicts == [
+        (False, False, False), (False, True, False), (True, True, False), (False, False, False), (True, True, True)
+    ]
+    assert engine == [[]] * len(names)
 
 
 def test_decisions_enumerate_no_supports(monkeypatch):

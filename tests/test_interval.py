@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semiband import linalg
@@ -16,9 +16,10 @@ from semiband.interval import (
     _mask_region,
     _bumps,
     _range_enumeration,
-    _range_items,
     _segments,
+    _semi_masks,
     FiniteRankOp,
+    FropWitness,
     IntervalRegion,
     PiecewisePoly,
     frop_apply,
@@ -44,6 +45,7 @@ from semiband.interval import (
 )
 from semiband.operators import Operator, enumerate_sigma, is_sbp, is_scp
 from semiband.oracles import nullspace, random_piecewise, sampled_frop_check
+from test_engine import _law_scan
 
 HALF = Fraction(1, 2)
 
@@ -565,15 +567,53 @@ def test_range_listing_equals_the_region_reference(T):
 @given(_frops())
 def test_avoiding_masks_decide_as_the_range_scan(T):
     # the semi laws scanned over every range support are the reference
-    bumps, blocks = _bumps(T)
+    bumps, _ = _bumps(T)
     sources = [(1 << b.piece, b.item.mask) for b in bumps]
     masks = _range_enumeration(T)
-    assert linalg.avoiding_masks(_range_items(T), blocks) <= masks
+    assert _semi_masks(T) <= masks
     for check, inside in ((frop_is_sbp, False), (frop_is_scp, True)):
         res = check(T)
-        assert res.holds == (linalg.first_violation(masks, sources, inside) is None)
+        assert res.holds == (_law_scan(masks, sources, inside) is None)
         if not res.holds:
             assert replay_frop_witness(T, res.witness)
+
+
+def _frop_implication(T, kind, f, g):
+    """(antecedent, consequent) of an interval witness kind's implication,
+    read literally on support regions."""
+    F, TF, TG = (pp_support(h) for h in (f, frop_apply(T, f), frop_apply(T, g)))
+    inside = TG if kind == "SCP-violation" else TG.complement()
+    return inside.contains(F), inside.contains(TF)
+
+
+@settings(max_examples=100)
+@given(_frops(), _piecewise())
+def test_forged_frop_witnesses_do_not_replay(T, g):
+    one, zero = PiecewisePoly.const(1), PiecewisePoly.zero()
+    assume(not frop_apply(T, one).is_zero())
+    # only the antecedent holds: f = 0 lies off and inside every support
+    only_antecedent = [("SBP-violation", zero, g), ("SCP-violation", zero, g)]
+    # only the consequent fails: f = 1 meets T1 != 0, and f = 1 is not in
+    # the band of T0 = 0
+    only_consequent = [("SBP-violation", one, one), ("SCP-violation", one, zero)]
+    for pairs, want in ((only_antecedent, (True, True)), (only_consequent, (False, False))):
+        for kind, f, g in pairs:
+            assert _frop_implication(T, kind, f, g) == want
+            assert not replay_frop_witness(T, FropWitness(kind, f, g, "forged"))
+
+
+def test_forged_gallery_witnesses_do_not_replay():
+    # the gallery's SBP operator: Tg lives on [0, 1/2] when the kernel 2
+    # integrates g to 0 there, and inputs on [1/2, 1] map to 0
+    T = frop_pair()
+    g = PiecewisePoly.on_interval(0, HALF, (-1, 4))
+    f = PiecewisePoly.indicator(HALF, 1)
+    assert pp_support(frop_apply(T, g)) == IntervalRegion.of((0, HALF))
+    # every Tg of the full-support projection has full support
+    B = make_full_support_projection()
+    for op, kind, f, g in ((T, "SBP-violation", f, g), (B, "SCP-violation", f, PiecewisePoly.const(1))):
+        assert _frop_implication(op, kind, f, g) == (True, True)
+        assert not replay_frop_witness(op, FropWitness(kind, f, g, "forged"))
 
 
 def _rank(rows, dim):
